@@ -3,7 +3,6 @@
 from .algorithms import (
     ab_dscsc_init,
     ab_dscsc_step,
-    dscgd_init,
     dscgd_step,
     run,
     scgd_step,
@@ -35,7 +34,6 @@ __all__ = [
     "ab_dscsc_step",
     "scgd_step",
     "scsc_step",
-    "dscgd_init",
     "dscgd_step",
     "run",
 ]

@@ -1,4 +1,4 @@
-"""Synchronous-round step functions and run drivers.
+"""Synchronous-round step functions and the run driver.
 
 Implemented methods:
 
@@ -12,7 +12,7 @@ Implemented methods:
 All randomness flows from one counter-based Philox stream per run, consumed
 in a fixed order (inner-correction draw, then gradient draw, agents batched),
 so a run is bitwise reproducible from (config, seed), and the single-agent
-AB recursion consumes draws in exactly the same order as the SCSC driver.
+AB recursion consumes draws in exactly the same order as ``scsc_step``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError
 from .metrics import collect_row
 from .records import RunRecord
-from .topology import DirectedGraph, underlying_metropolis
+from .topology import underlying_metropolis
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -39,13 +39,13 @@ def run_stream(seed):
 
 @dataclass
 class NetworkState:
-    """Stacked per-agent state of AB-DSCSC at iteration k."""
+    """Stacked per-agent state at iteration k, shared by every method."""
 
     k: int
     x: np.ndarray  # (n, d)
-    z: object  # (n, p) array, or list of per-agent vectors
-    y: np.ndarray  # (n, d) gradient trackers
-    h_prev: np.ndarray  # (n, d) last stochastic gradients
+    z: np.ndarray  # (n, p) inner-value estimates
+    y: np.ndarray | None  # (n, d) gradient trackers; None without tracking (GP)
+    h_prev: np.ndarray | None  # (n, d) last stochastic gradients; None without tracking
 
 
 def _check_finite(arr, k, what):
@@ -61,20 +61,20 @@ def _check_finite(arr, k, what):
 
 
 def _corrected_z(z, g_new, g_old, beta):
-    if isinstance(z, np.ndarray) and isinstance(g_new, np.ndarray):
-        return (1.0 - beta) * (z + g_new - g_old) + beta * g_new
-    return [
-        (1.0 - beta) * (zi + gn - go) + beta * gn
-        for zi, gn, go in zip(z, g_new, g_old)
-    ]
+    return (1.0 - beta) * (z + g_new - g_old) + beta * g_new
 
 
-def ab_dscsc_init(problem, x0, rng):
-    """Initial state: fresh inner sample for z, one gradient draw for y."""
+def ab_dscsc_init(problem, x0, rng, track=True):
+    """Initial state: fresh inner sample for z, then one gradient draw for y.
+
+    With ``track=False`` (GP-DSCGD) no gradient is drawn and y, h_prev are None.
+    """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     _check_finite(x0, 1, "initial iterate")
     z, _ = problem.sample_inner_pair_all(x0, x0, rng)
-    y = np.asarray(problem.sample_grad_all(x0, z, rng), dtype=float)
+    if not track:
+        return NetworkState(k=1, x=x0, z=z, y=None, h_prev=None)
+    y = problem.sample_grad_all(x0, z, rng)
     return NetworkState(k=1, x=x0, z=z, y=y, h_prev=y.copy())
 
 
@@ -87,51 +87,35 @@ def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng):
     _check_finite(x_new, state.k + 1, "iterate")
     g_new, g_old = problem.sample_inner_pair_all(x_new, state.x, rng)
     z_new = _corrected_z(state.z, g_new, g_old, beta_k)
-    h_new = np.asarray(problem.sample_grad_all(x_new, z_new, rng), dtype=float)
+    h_new = problem.sample_grad_all(x_new, z_new, rng)
     # associate so that the n=1 case (B y == h_prev) reduces to y_new == h_new exactly
     y_new = (B @ state.y - state.h_prev) + h_new
     _check_finite(y_new, state.k + 1, "gradient tracker")
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=y_new, h_prev=h_new)
 
 
-def scgd_step(x, z, problem, alpha_k, beta_k, rng):
-    """Single-agent two-timescale baseline: plain inner averaging, then descend."""
-    g, _ = problem.sample_inner_pair(0, x, x, rng)
-    z_new = (1.0 - beta_k) * z + beta_k * g
-    grad = problem.sample_grad(0, x, z_new, rng)
-    x_new = x - alpha_k * grad
-    _check_finite(x_new, None, "iterate")
-    return x_new, z_new
+def scsc_step(state, problem, alpha_k, beta_k, rng):
+    """Single-agent stochastically corrected step: descend along y, correct z, redraw y.
+
+    Written apart from ``ab_dscsc_step`` so that the n=1 reduction test compares
+    two implementations.
+    """
+    x_new = state.x - alpha_k * state.y
+    _check_finite(x_new, state.k + 1, "iterate")
+    g_new, g_old = problem.sample_inner_pair_all(x_new, state.x, rng)
+    z_new = _corrected_z(state.z, g_new, g_old, beta_k)
+    h_new = problem.sample_grad_all(x_new, z_new, rng)
+    return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
 
 
-def scsc_step(x, x_prev, z, problem, alpha_k, beta_k, rng):
-    """Single-agent stochastically corrected step (value update, then descend)."""
-    g_x, g_prev = problem.sample_inner_pair(0, x, x_prev, rng)
-    z_new = (1.0 - beta_k) * (z + g_x - g_prev) + beta_k * g_x
-    grad = problem.sample_grad(0, x, z_new, rng)
-    x_new = x - alpha_k * grad
-    _check_finite(x_new, None, "iterate")
-    return x_new, z_new
-
-
-@dataclass
-class DsgdState:
-    """State of the doubly stochastic baselines (GP/GT)."""
-
-    k: int
-    x: np.ndarray
-    z: object
-    y: np.ndarray | None  # tracker (GT only)
-    g_prev: np.ndarray | None  # last stochastic gradients (GT only)
-
-
-def dscgd_init(problem, x0, rng, track):
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    z, _ = problem.sample_inner_pair_all(x0, x0, rng)
-    if not track:
-        return DsgdState(k=1, x=x0, z=z, y=None, g_prev=None)
-    g = np.asarray(problem.sample_grad_all(x0, z, rng), dtype=float)
-    return DsgdState(k=1, x=x0, z=z, y=g.copy(), g_prev=g)
+def scgd_step(state, problem, alpha_k, beta_k, rng):
+    """Single-agent two-timescale baseline: descend along y, average z plainly, redraw y."""
+    x_new = state.x - alpha_k * state.y
+    _check_finite(x_new, state.k + 1, "iterate")
+    g_new, _ = problem.sample_inner_pair_all(x_new, x_new, rng)
+    z_new = _corrected_z(state.z, g_new, g_new, beta_k)  # no correction term
+    h_new = problem.sample_grad_all(x_new, z_new, rng)
+    return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
 
 
 def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track):
@@ -140,9 +124,9 @@ def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track):
         raise ConfigurationError(f"gamma*beta_k = {gamma * beta_k} exceeds 1")
     g_inner, _ = problem.sample_inner_pair_all(state.x, state.x, rng)
     z_new = _corrected_z(state.z, g_inner, g_inner, gamma * beta_k)  # no correction term
-    g = np.asarray(problem.sample_grad_all(state.x, z_new, rng), dtype=float)
+    g = problem.sample_grad_all(state.x, z_new, rng)
     if track:
-        y_new = W @ state.y + g - state.g_prev
+        y_new = W @ state.y + g - state.h_prev
         direction = y_new
     else:
         y_new = None
@@ -150,7 +134,7 @@ def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track):
     x_tilde = W @ state.x - eta * direction
     x_new = state.x + beta_k * (x_tilde - state.x)
     _check_finite(x_new, state.k + 1, "iterate")
-    return DsgdState(k=state.k + 1, x=x_new, z=z_new, y=y_new, g_prev=g if track else None)
+    return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=y_new, h_prev=g if track else None)
 
 
 def _default_x0(problem, rng):
@@ -182,73 +166,54 @@ def run(
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     if K < 1:
         raise ConfigurationError(f"K must be >= 1, got {K}")
-    if algorithm in ("scgd", "scsc") and problem.n != 1:
+    single_agent = algorithm in ("scgd", "scsc")
+    dscgd = algorithm in ("gp-dscgd", "gt-dscgd")
+    if single_agent and problem.n != 1:
         raise ConfigurationError(f"{algorithm} is single-agent; problem has n={problem.n}")
+    if not single_agent and weights is None:
+        raise ConfigurationError(f"{algorithm} needs a WeightPair")
 
     rng = run_stream(seed)
     if x0 is None:
         x0 = _default_x0(problem, rng)
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
 
     if algorithm == "ab-dscsc":
-        if weights is None:
-            raise ConfigurationError("ab-dscsc needs a WeightPair")
         u = weights.u
-    elif algorithm in ("gp-dscgd", "gt-dscgd"):
-        if weights is None:
-            raise ConfigurationError(f"{algorithm} needs a WeightPair (for its graph)")
+
+        def step(state, k):
+            return ab_dscsc_step(state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng)
+
+    elif dscgd:
         u = np.ones(problem.n)
+        W = underlying_metropolis(weights.graph_A)
+        track = algorithm == "gt-dscgd"
+
+        def step(state, k):
+            return dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track)
+
     else:
         u = np.ones(1)
+        single_step = scsc_step if algorithm == "scsc" else scgd_step
+
+        def step(state, k):
+            return single_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
 
     record = RunRecord(config=dict(config or {}), seed=seed)
     start = time.perf_counter()
 
-    def note(k, alpha_k, beta_k, x, z):
-        record.rows.append(collect_row(k, alpha_k, beta_k, x, z, problem, u))
+    def note(state, k):
+        alpha_k = eta if dscgd else schedule.alpha(k)
+        record.rows.append(
+            collect_row(state.k, alpha_k, schedule.beta_of(k), state.x, state.z, problem, u)
+        )
 
     try:
-        if algorithm == "ab-dscsc":
-            state = ab_dscsc_init(problem, x0, rng)
-            note(1, schedule.alpha(1), schedule.beta_of(1), state.x, state.z)
-            for k in range(1, K + 1):
-                state = ab_dscsc_step(
-                    state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng
-                )
-                if k % metric_stride == 0:
-                    note(state.k, schedule.alpha(k), schedule.beta_of(k), state.x, state.z)
-        elif algorithm in ("gp-dscgd", "gt-dscgd"):
-            W = underlying_metropolis(weights_graph(weights))
-            track = algorithm == "gt-dscgd"
-            state = dscgd_init(problem, x0, rng, track)
-            note(1, eta, schedule.beta_of(1), state.x, state.z)
-            for k in range(1, K + 1):
-                state = dscgd_step(
-                    state, problem, W, eta, gamma, schedule.beta_of(k), rng, track
-                )
-                if k % metric_stride == 0:
-                    note(state.k, eta, schedule.beta_of(k), state.x, state.z)
-        else:
-            # Single-agent drivers share the AB draw order: inner-correction
-            # draw at the fresh iterate, then the gradient draw.
-            x = x0
-            z, _ = problem.sample_inner_pair_all(x, x, rng)
-            h = np.asarray(problem.sample_grad_all(x, z, rng), dtype=float)
-            note(1, schedule.alpha(1), schedule.beta_of(1), x, z)
-            for k in range(1, K + 1):
-                a_k, b_k = schedule.alpha(k), schedule.beta_of(k)
-                x_new = x - a_k * h
-                _check_finite(x_new, k + 1, "iterate")
-                if algorithm == "scsc":
-                    g_new, g_old = problem.sample_inner_pair_all(x_new, x, rng)
-                    z = _corrected_z(z, g_new, g_old, b_k)
-                else:  # scgd: no correction term
-                    g_new, _ = problem.sample_inner_pair_all(x_new, x_new, rng)
-                    z = _corrected_z(z, g_new, g_new, b_k)
-                h = np.asarray(problem.sample_grad_all(x_new, z, rng), dtype=float)
-                x = x_new
-                if k % metric_stride == 0:
-                    note(k + 1, a_k, b_k, x, z)
+        state = ab_dscsc_init(problem, x0, rng, track=algorithm != "gp-dscgd")
+        note(state, 1)
+        for k in range(1, K + 1):
+            state = step(state, k)
+            if k % metric_stride == 0:
+                note(state, k)
     except DivergenceError as err:
         record.status = f"diverged@{err.k}"
         record.wall_seconds = time.perf_counter() - start
@@ -256,13 +221,3 @@ def run(
         raise
     record.wall_seconds = time.perf_counter() - start
     return record
-
-
-def weights_graph(weights):
-    """Directed graph implied by the nonzero off-diagonal pattern of A."""
-    A = weights.A
-    n = A.shape[0]
-    edges = {
-        (j + 1, i + 1) for i in range(n) for j in range(n) if i != j and A[i, j] > 0
-    }
-    return DirectedGraph(n, frozenset(edges))

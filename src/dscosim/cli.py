@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 network-assumption violation, 2 config/usage error,
 
 from __future__ import annotations
 
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -35,6 +36,29 @@ def main():
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _exit_codes(command):
+    """Map simulator errors to exit codes; a divergence also writes its partial record."""
+
+    @functools.wraps(command)
+    def wrapper(**kwargs):
+        try:
+            return command(**kwargs)
+        except (ConfigurationError, CapabilityError, InsufficientDataError) as err:
+            _fail(2, err)
+        except AssumptionError as err:
+            _fail(1, err)
+        except DivergenceError as err:
+            record = getattr(err, "record", None)
+            if record is not None:
+                algorithm = record.config.get("algorithm", "x")
+                path = Path(kwargs["out_dir"]) / f"run_{algorithm}_seed{record.seed}_partial.csv"
+                path.write_text(record_to_csv(record))
+                click.echo(f"partial record -> {path}", err=True)
+            _fail(3, err)
+
+    return wrapper
 
 
 def _single_run(args):
@@ -79,124 +103,98 @@ def _write_aggregate(cfg, records, out_dir):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None, help="override the config's seed list")
 @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
+@_exit_codes
 def cmd_run(config_path, seed, out_dir):
     """Execute one run per seed and write per-seed plus aggregate CSVs."""
-    try:
-        cfg = load_config(config_path)
-        seeds = [seed] if seed is not None else cfg.seed_list()
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        records = []
-        for s in seeds:
-            record, path = _execute_run(cfg, s, out_dir)
-            click.echo(f"seed {s}: {record.status}, {len(record.rows)} rows -> {path}")
-            records.append(record)
-        agg_path = _write_aggregate(cfg, records, out_dir)
-        click.echo(f"aggregate -> {agg_path}")
-    except (ConfigurationError, CapabilityError) as err:
-        _fail(2, err)
-    except AssumptionError as err:
-        _fail(1, err)
-    except DivergenceError as err:
-        record = getattr(err, "record", None)
-        if record is not None:
-            path = Path(out_dir) / f"run_{record.config.get('algorithm', 'x')}_seed{record.seed}_partial.csv"
-            path.write_text(record_to_csv(record))
-            click.echo(f"partial record -> {path}", err=True)
-        _fail(3, err)
+    cfg = load_config(config_path)
+    seeds = [seed] if seed is not None else cfg.seed_list()
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    records = []
+    for s in seeds:
+        record, path = _execute_run(cfg, s, out_dir)
+        click.echo(f"seed {s}: {record.status}, {len(record.rows)} rows -> {path}")
+        records.append(record)
+    agg_path = _write_aggregate(cfg, records, out_dir)
+    click.echo(f"aggregate -> {agg_path}")
 
 
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
+@_exit_codes
 def cmd_sweep(config_path, jobs, out_dir):
     """Multi-seed sweep with optional parallel workers."""
-    try:
-        cfg = load_config(config_path)
-        seeds = cfg.seed_list()
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        if jobs <= 1:
-            results = [_single_run((config_path, s, out_dir)) for s in seeds]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_single_run, [(config_path, s, out_dir) for s in seeds]))
-        records = [r for r, _ in results]
-        agg_path = _write_aggregate(cfg, records, out_dir)
-        click.echo(f"{len(records)} runs complete, aggregate -> {agg_path}")
-    except (ConfigurationError, CapabilityError) as err:
-        _fail(2, err)
-    except AssumptionError as err:
-        _fail(1, err)
-    except DivergenceError as err:
-        _fail(3, err)
+    cfg = load_config(config_path)
+    seeds = cfg.seed_list()
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    if jobs == 1:
+        results = [_single_run((config_path, s, out_dir)) for s in seeds]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_single_run, [(config_path, s, out_dir) for s in seeds]))
+    records = [r for r, _ in results]
+    agg_path = _write_aggregate(cfg, records, out_dir)
+    click.echo(f"{len(records)} runs complete, aggregate -> {agg_path}")
 
 
 @main.command("validate-topology")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@_exit_codes
 def cmd_validate_topology(config_path):
     """Report graph, spanning-tree and weight-matrix diagnostics."""
-    try:
-        cfg = load_config(config_path)
-        g = cfg.build_graph()
-        click.echo(f"n = {g.n}")
-        click.echo(f"edges (excl. self-loops) = {len(g.edges)}")
-        roots = sorted(g.roots())
-        click.echo(f"spanning tree: {'yes' if roots else 'NO'}")
-        click.echo(f"roots = {roots}")
-        ok = check_assumption2(g, g)
-        click.echo(f"common root: {'yes' if ok else 'NO'}")
-        if not ok:
-            _fail(1, "no spanning tree with a common root" if not roots else "root sets disjoint")
-        wp = build_weight_pair(g, g)
-        click.echo(f"u = {np.array2string(wp.u, precision=6)}")
-        click.echo(f"v = {np.array2string(wp.v, precision=6)}")
-        click.echo(f"tau_A = {wp.tau_A:.6f}")
-        click.echo(f"tau_B = {wp.tau_B:.6f}")
-        if not (wp.tau_A < 1 and wp.tau_B < 1):
-            _fail(1, "contraction factor not below 1")
-    except ConfigurationError as err:
-        _fail(2, err)
-    except AssumptionError as err:
-        _fail(1, err)
+    cfg = load_config(config_path)
+    g = cfg.build_graph()
+    click.echo(f"n = {g.n}")
+    click.echo(f"edges (excl. self-loops) = {len(g.edges)}")
+    roots = sorted(g.roots())
+    click.echo(f"spanning tree: {'yes' if roots else 'NO'}")
+    click.echo(f"roots = {roots}")
+    ok = check_assumption2(g, g)
+    click.echo(f"common root: {'yes' if ok else 'NO'}")
+    if not ok:
+        _fail(1, "no spanning tree with a common root" if not roots else "root sets disjoint")
+    wp = build_weight_pair(g, g)
+    click.echo(f"u = {np.array2string(wp.u, precision=6)}")
+    click.echo(f"v = {np.array2string(wp.v, precision=6)}")
+    click.echo(f"tau_A = {wp.tau_A:.6f}")
+    click.echo(f"tau_B = {wp.tau_B:.6f}")
+    if not (wp.tau_A < 1 and wp.tau_B < 1):
+        _fail(1, "contraction factor not below 1")
 
 
 @main.command("normality")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
+@_exit_codes
 def cmd_normality(config_path, out_dir):
     """Averaged-iterate covariance study; exit 0 iff the match is within threshold."""
-    try:
-        cfg = load_config(config_path)
-        if cfg["problem"] != "quadratic":
-            raise ConfigurationError("normality study supports the quadratic family only")
-        R = cfg["replications"]
-        if R < 50:
-            raise InsufficientDataError(f"replications must be >= 50, got {R}")
-        problem = cfg.build_problem()
-        weights = cfg.build_weights()
-        schedule = cfg.build_schedule()
-        base_seed = cfg.seed_list()[0]
-        samples = collect_delta(
-            R, problem, weights, schedule, cfg["normality_k"], cfg["agent"], base_seed
-        )
-        report = compare_covariance(samples, theoretical_covariance(problem))
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "normality_samples.csv").write_text(samples_to_csv(samples))
-        lines = [
-            "# gradient-noise covariance read as the sum over agents of per-agent covariances",
-            "key,value",
-        ]
-        lines += [f"{k},{v:.17g}" for k, v in report.to_kv_rows()]
-        (Path(out_dir) / "normality_report.csv").write_text("\n".join(lines) + "\n")
-        click.echo(f"rel_frobenius_error = {report.rel_frobenius_error:.4f}")
-        if report.rel_frobenius_error > cfg["threshold"]:
-            _fail(1, f"covariance mismatch {report.rel_frobenius_error:.4f} > {cfg['threshold']}")
-    except (ConfigurationError, CapabilityError, InsufficientDataError) as err:
-        _fail(2, err)
-    except AssumptionError as err:
-        _fail(1, err)
-    except DivergenceError as err:
-        _fail(3, err)
+    cfg = load_config(config_path)
+    if cfg["problem"] != "quadratic":
+        raise ConfigurationError("normality study supports the quadratic family only")
+    R = cfg["replications"]
+    if R < 50:
+        raise InsufficientDataError(f"replications must be >= 50, got {R}")
+    problem = cfg.build_problem()
+    weights = cfg.build_weights()
+    schedule = cfg.build_schedule()
+    base_seed = cfg.seed_list()[0]
+    samples = collect_delta(
+        R, problem, weights, schedule, cfg["normality_k"], cfg["agent"], base_seed
+    )
+    report = compare_covariance(samples, theoretical_covariance(problem))
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    (Path(out_dir) / "normality_samples.csv").write_text(samples_to_csv(samples))
+    lines = [
+        "# gradient-noise covariance read as the sum over agents of per-agent covariances",
+        "key,value",
+    ]
+    lines += [f"{k},{v:.17g}" for k, v in report.to_kv_rows()]
+    (Path(out_dir) / "normality_report.csv").write_text("\n".join(lines) + "\n")
+    error = report.rel_frobenius_error
+    click.echo(f"rel_frobenius_error = {error:.4f}")
+    if not np.isfinite(error) or error > cfg["threshold"]:
+        _fail(1, f"covariance mismatch {error:.4f} > {cfg['threshold']}")
 
 
 if __name__ == "__main__":

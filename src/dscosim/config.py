@@ -112,6 +112,8 @@ class ExperimentConfig:
             raise ConfigurationError("constant beta must be <= 1")
         if v["agents"] < 1:
             raise ConfigurationError("agents must be >= 1")
+        if v["normality_k"] < 1:
+            raise ConfigurationError("normality_k must be >= 1")
         self.seed_list()  # parses and validates
 
     def seed_list(self):

@@ -28,7 +28,7 @@ def tracking_error(z, x, problem):
     x = np.atleast_2d(x)
     total = 0.0
     for i in range(problem.n):
-        total += float(np.sum((np.asarray(z[i]) - problem.true_g(i, x[i])) ** 2))
+        total += float(np.sum((z[i] - problem.true_g(i, x[i])) ** 2))
     return total
 
 

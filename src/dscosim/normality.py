@@ -88,9 +88,7 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
         for t in range(1, k + 1):
             top += state.x[i0] - xstar
             for j in range(problem.n):
-                bottom += proj[j] @ (
-                    np.asarray(state.z[j]) - problem.true_g(j, state.x[j])
-                )
+                bottom += proj[j] @ (state.z[j] - problem.true_g(j, state.x[j]))
             if t < k:
                 state = ab_dscsc_step(
                     state, problem, weights, schedule.alpha(t), schedule.beta_of(t), rng

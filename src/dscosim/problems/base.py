@@ -65,15 +65,15 @@ class ProblemOracle:
     # Subclasses that override these must preserve determinism given rng.
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
-        new = []
-        old = []
-        for i in range(self.n):
-            a, b = self.sample_inner_pair(i, X_new[i], X_old[i], rng)
-            new.append(a)
-            old.append(b)
-        return new, old
+        """Stacked (n, p) arrays G(X_new), G(X_old), one shared draw per agent.
+
+        Every agent must have the same inner dimension p.
+        """
+        pairs = [self.sample_inner_pair(i, X_new[i], X_old[i], rng) for i in range(self.n)]
+        return np.stack([new for new, _ in pairs]), np.stack([old for _, old in pairs])
 
     def sample_grad_all(self, X, Z, rng):
+        """Stacked (n, d) stochastic gradients; Z is the (n, p) inner-value array."""
         return np.stack([self.sample_grad(i, X[i], Z[i], rng) for i in range(self.n)])
 
     # Ground-truth accessors, guarded by capability flags.

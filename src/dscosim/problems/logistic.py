@@ -87,7 +87,7 @@ class LogisticProblem(ProblemOracle):
 
     def sample_grad_all(self, X, Z, rng):
         phi = self._draw_phi(rng, size=self.n)
-        w = _sigmoid(np.asarray(Z)) / self.m
+        w = _sigmoid(Z) / self.m
         shifted = self.a + phi[:, None, :]
         return -np.einsum("nm,nmd,nm->nd", self.b, shifted, w)
 

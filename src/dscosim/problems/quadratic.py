@@ -59,7 +59,7 @@ class QuadraticProblem(ProblemOracle):
 
     def sample_grad_all(self, X, Z, rng):
         zeta = self.c + rng.normal(size=(self.n, self.d)) * self.sigma_zeta
-        inner = np.einsum("nij,nj->ni", self.Q, np.asarray(Z)) + zeta
+        inner = np.einsum("nij,nj->ni", self.Q, Z) + zeta
         return np.einsum("nji,nj->ni", self.M, inner)
 
     # -- closed forms -------------------------------------------------------

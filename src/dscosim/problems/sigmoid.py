@@ -61,7 +61,7 @@ class SigmoidQuadraticProblem(ProblemOracle):
     def sample_grad_all(self, X, Z, rng):
         zeta = rng.normal(size=(self.n, self.p)) * self.sigma_zeta
         s = np.tanh(np.einsum("npd,nd->np", self.W, X))
-        resid = np.asarray(Z) - self.t + zeta
+        resid = Z - self.t + zeta
         return np.einsum("npd,np,np->nd", self.W, 1.0 - s**2, resid)
 
     def true_g(self, i, x):

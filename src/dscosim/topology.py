@@ -95,6 +95,7 @@ class WeightPair:
     v: np.ndarray  # right Perron vector of B, 1^T v = n
     tau_A: float
     tau_B: float
+    graph_A: DirectedGraph  # graph A was built on; GP/GT take Metropolis weights on it
 
     @property
     def n(self):
@@ -202,7 +203,7 @@ def build_weight_pair(gA, gBt):
     v = _perron_left(B.T)
     tau_A = contraction_factor(A, np.outer(np.ones(n), u) / n)
     tau_B = contraction_factor(B, np.outer(v, np.ones(n)) / n)
-    return WeightPair(A=A, B=B, u=u, v=v, tau_A=tau_A, tau_B=tau_B)
+    return WeightPair(A=A, B=B, u=u, v=v, tau_A=tau_A, tau_B=tau_B, graph_A=gA)
 
 
 def underlying_metropolis(g):

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from dscosim.algorithms import (
+    NetworkState,
     ab_dscsc_init,
     ab_dscsc_step,
-    dscgd_init,
     dscgd_step,
     run,
     run_stream,
     scgd_step,
     scsc_step,
-    weights_graph,
 )
 from dscosim.errors import ConfigurationError, DivergenceError
 from dscosim.problems import make_quadratic, make_sigmoid_quadratic
@@ -76,23 +75,31 @@ class TestAbStep:
 
 
 class TestSingleAgentSteps:
+    @staticmethod
+    def state(x, z, y):
+        y = np.array([y])
+        return NetworkState(k=1, x=np.array([x]), z=np.array([z]), y=y, h_prev=y.copy())
+
     def test_scgd_step_zero_noise(self):
         prob = make_quadratic(1, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
-        x = np.array([0.5, -1.0])
-        z = np.zeros(2)
-        x_new, z_new = scgd_step(x, z, prob, 0.1, 0.4, run_stream(0))
-        g = prob.true_g(0, x)
-        np.testing.assert_allclose(z_new, 0.6 * z + 0.4 * g)
-        grad = prob.M[0].T @ (prob.Q[0] @ z_new + prob.c[0])
-        np.testing.assert_allclose(x_new, x - 0.1 * grad)
+        x, z, y = np.array([0.5, -1.0]), np.zeros(2), np.array([0.3, -0.2])
+        nxt = scgd_step(self.state(x, z, y), prob, 0.1, 0.4, run_stream(0))
+        np.testing.assert_allclose(nxt.x[0], x - 0.1 * y)
+        g = prob.true_g(0, nxt.x[0])
+        np.testing.assert_allclose(nxt.z[0], 0.6 * z + 0.4 * g)
+        grad = prob.M[0].T @ (prob.Q[0] @ nxt.z[0] + prob.c[0])
+        np.testing.assert_allclose(nxt.y[0], grad)
+        assert nxt.k == 2
 
     def test_scsc_step_correction_term(self):
         prob = make_quadratic(1, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
-        x, x_prev = np.array([0.5, -1.0]), np.array([0.2, 0.3])
+        x_prev, y = np.array([0.2, 0.3]), np.array([-3.0, 13.0])
         z = np.array([1.0, 1.0])
-        _, z_new = scsc_step(x, x_prev, z, prob, 0.1, 0.4, run_stream(0))
+        nxt = scsc_step(self.state(x_prev, z, y), prob, 0.1, 0.4, run_stream(0))
+        x = nxt.x[0]
+        np.testing.assert_allclose(x, x_prev - 0.1 * y)
         g_x, g_prev = prob.true_g(0, x), prob.true_g(0, x_prev)
-        np.testing.assert_allclose(z_new, 0.6 * (z + g_x - g_prev) + 0.4 * g_x)
+        np.testing.assert_allclose(nxt.z[0], 0.6 * (z + g_x - g_prev) + 0.4 * g_x)
 
 
 class TestDscgd:
@@ -100,7 +107,8 @@ class TestDscgd:
         prob = make_quadratic(3, 2, seed=0)
         wp = ring_weights(3)
         W = np.eye(3)
-        state = dscgd_init(prob, np.zeros((3, 2)), run_stream(0), track=False)
+        state = ab_dscsc_init(prob, np.zeros((3, 2)), run_stream(0), track=False)
+        assert state.y is None and state.h_prev is None
         with pytest.raises(ConfigurationError):
             dscgd_step(state, prob, W, 0.01, gamma=3.0, beta_k=0.5, rng=run_stream(1), track=False)
 
@@ -111,16 +119,16 @@ class TestDscgd:
         g = generate_ring_plus_random(4, 2, 0)
         W = underlying_metropolis(g)
         rng = run_stream(0)
-        state = dscgd_init(prob, np.zeros((4, 2)), rng, track=True)
+        state = ab_dscsc_init(prob, np.zeros((4, 2)), rng, track=True)
         for _ in range(50):
             state = dscgd_step(state, prob, W, 0.02, gamma=2.0, beta_k=0.3, rng=rng, track=True)
             np.testing.assert_allclose(
-                state.y.sum(axis=0), state.g_prev.sum(axis=0), rtol=1e-9, atol=1e-12
+                state.y.sum(axis=0), state.h_prev.sum(axis=0), rtol=1e-9, atol=1e-12
             )
 
     def test_weights_graph_pattern(self):
         wp = ring_weights(3)
-        g = weights_graph(wp)
+        g = wp.graph_A
         assert g.edges == frozenset({(1, 2), (2, 3), (3, 1)})
 
 

@@ -138,6 +138,20 @@ class TestSweepCommand:
             b = [l for l in (out2 / name).read_text().splitlines() if "wall_seconds" not in l]
             assert a == b
 
+    def test_divergence_exit_3_with_partial(self, runner, tmp_path):
+        cfg = write(tmp_path, BASE.replace("alpha_a = 0.05", "alpha_a = 100.0"))
+        out = tmp_path / "o3"
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "2", "--out", str(out)])
+        assert res.exit_code == 3
+        partial = out / "run_ab-dscsc_seed0_partial.csv"
+        assert "# status = diverged@" in partial.read_text()
+
+    def test_jobs_below_one_exit_2(self, runner, tmp_path):
+        cfg = write(tmp_path, BASE)
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "0", "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+        assert not (tmp_path / "x").exists()
+
 
 class TestValidateTopology:
     def test_ok_topology(self, runner, tmp_path):
@@ -190,6 +204,26 @@ threshold = 0.9
         cfg = write(tmp_path, self.CFG.replace("problem = quadratic", "problem = sigmoid"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    def test_zero_k_exit_2(self, runner, tmp_path):
+        cfg = write(tmp_path, self.CFG.replace("normality_k = 1500", "normality_k = 0"))
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+
+    def test_non_finite_error_exit_1(self, runner, tmp_path, monkeypatch):
+        import dataclasses
+
+        import dscosim.cli as cli
+
+        real = cli.compare_covariance
+        monkeypatch.setattr(
+            cli,
+            "compare_covariance",
+            lambda *a: dataclasses.replace(real(*a), rel_frobenius_error=float("nan")),
+        )
+        cfg = write(tmp_path, self.CFG.replace("normality_k = 1500", "normality_k = 5"))
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert res.exit_code == 1
 
     def test_threshold_failure_exit_1(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("threshold = 0.9", "threshold = 0.0001"))
