@@ -50,6 +50,8 @@ class NetworkState:
 
 def _check_finite(arr, k, what):
     arr = np.atleast_2d(np.asarray(arr))
+    if np.abs(arr).max() <= DIVERGENCE_LIMIT:  # False for NaN, so NaN falls through
+        return
     bad = ~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)
     if bad.any():
         agent = int(np.argwhere(bad.any(axis=tuple(range(1, arr.ndim))))[0, 0]) + 1

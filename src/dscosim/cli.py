@@ -39,7 +39,7 @@ def _fail(code, message):
 
 
 def _exit_codes(command):
-    """Map simulator errors to exit codes; a divergence also writes its partial record."""
+    """Map simulator errors to exit codes."""
 
     @functools.wraps(command)
     def wrapper(**kwargs):
@@ -50,42 +50,46 @@ def _exit_codes(command):
         except AssumptionError as err:
             _fail(1, err)
         except DivergenceError as err:
-            record = getattr(err, "record", None)
-            if record is not None:
-                algorithm = record.config.get("algorithm", "x")
-                path = Path(kwargs["out_dir"]) / f"run_{algorithm}_seed{record.seed}_partial.csv"
-                path.write_text(record_to_csv(record))
-                click.echo(f"partial record -> {path}", err=True)
             _fail(3, err)
 
     return wrapper
 
 
 def _single_run(args):
+    """One sweep seed; a divergence is returned, not raised, so every seed runs."""
     cfg_path, seed, out_dir = args
-    cfg = load_config(cfg_path)
-    return _execute_run(cfg, seed, out_dir)
+    try:
+        return _execute_run(load_config(cfg_path), seed, out_dir)
+    except DivergenceError as err:
+        return err
 
 
 def _execute_run(cfg, seed, out_dir):
+    """Run one seed and write its CSV; a diverged run writes its partial record."""
     problem = cfg.build_problem()
     algorithm = cfg["algorithm"]
     weights = None
     if algorithm not in ("scgd", "scsc"):
         weights = cfg.build_weights()
     schedule = cfg.build_schedule()
-    record = run(
-        algorithm,
-        problem,
-        schedule,
-        cfg["iterations"],
-        weights=weights,
-        seed=seed,
-        metric_stride=cfg["metric_stride"],
-        eta=cfg["eta"],
-        gamma=cfg["gamma"],
-        config=cfg.values,
-    )
+    try:
+        record = run(
+            algorithm,
+            problem,
+            schedule,
+            cfg["iterations"],
+            weights=weights,
+            seed=seed,
+            metric_stride=cfg["metric_stride"],
+            eta=cfg["eta"],
+            gamma=cfg["gamma"],
+            config=cfg.values,
+        )
+    except DivergenceError as err:
+        path = Path(out_dir) / f"run_{algorithm}_seed{seed}_partial.csv"
+        path.write_text(record_to_csv(err.record))
+        click.echo(f"partial record -> {path}", err=True)
+        raise
     path = Path(out_dir) / f"run_{algorithm}_seed{seed}.csv"
     path.write_text(record_to_csv(record))
     return record, path
@@ -133,6 +137,9 @@ def cmd_sweep(config_path, jobs, out_dir):
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_single_run, [(config_path, s, out_dir) for s in seeds]))
+    diverged = [r for r in results if isinstance(r, DivergenceError)]
+    if diverged:
+        raise diverged[0]
     records = [r for r, _ in results]
     agg_path = _write_aggregate(cfg, records, out_dir)
     click.echo(f"{len(records)} runs complete, aggregate -> {agg_path}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..errors import ConfigurationError
 from .base import ProblemOracle
@@ -114,8 +113,31 @@ class LogisticProblem(ProblemOracle):
         return float(np.logaddexp(0.0, g).mean())
 
     def optimum(self, tol=1e-12):
-        """Minimizer of the deterministic mean objective (centralized solve)."""
+        """Minimizer of the deterministic mean objective (centralized solve).
+
+        Raises ``ConfigurationError`` when the data are linearly separable:
+        then some direction x has ``J x <= 0`` on every stacked mean-Jacobian
+        row with ``1^T J x = -1``, the objective decreases along it forever,
+        and no minimizer exists.
+        """
         if "xstar" not in self._cache:
+            # scipy.optimize costs about half a second of import; only this solve needs it
+            from scipy.optimize import linprog, minimize
+
+            J = self._mean_jacobians().reshape(-1, self.d)
+            lp = linprog(
+                np.zeros(self.d),
+                A_ub=J,
+                b_ub=np.zeros(len(J)),
+                A_eq=J.sum(axis=0)[None, :],
+                b_eq=[-1.0],
+                bounds=(None, None),
+                method="highs",
+            )
+            if lp.status == 0:
+                raise ConfigurationError(
+                    "logistic data are linearly separable: the objective has no minimizer"
+                )
             res = minimize(
                 self.true_h,
                 np.zeros(self.d),

@@ -8,6 +8,7 @@ edge set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,29 +38,39 @@ class DirectedGraph:
             if j == i:
                 raise ConfigurationError("self-loops are implicit; do not list them")
 
+    @cached_property
+    def _adjacency(self):
+        """Out-lists and sorted in-lists (self included) per node, built once."""
+        out = [[] for _ in range(self.n + 1)]
+        inn = [[i] for i in range(self.n + 1)]
+        for j, i in self.edges:
+            out[j].append(i)
+            inn[i].append(j)
+        return out, [sorted(nbrs) for nbrs in inn]
+
     def in_neighbors(self, i):
         """Nodes j with an edge j -> i, including i itself."""
-        return sorted({j for j, t in self.edges if t == i} | {i})
+        return list(self._adjacency[1][i])
 
     def reachable_from(self, r):
         """Set of nodes reachable from r along edge direction j -> i."""
-        out = {}
-        for j, i in self.edges:
-            out.setdefault(j, []).append(i)
-        seen = {r}
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            for w in out.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        return _search(self._adjacency[0], r, set())
 
     def roots(self):
-        """Nodes that reach every other node (spanning-tree roots)."""
-        all_nodes = set(range(1, self.n + 1))
-        return {r for r in all_nodes if self.reachable_from(r) == all_nodes}
+        """Nodes that reach every other node (spanning-tree roots).
+
+        Linear time: the last start of a search sweep over 1..n reaches every
+        node iff any node does, and then the roots are the nodes reaching it.
+        """
+        out, inn = self._adjacency
+        seen = set()
+        for start in range(1, self.n + 1):
+            if start not in seen:
+                last = start
+                _search(out, start, seen)
+        if len(self.reachable_from(last)) < self.n:
+            return set()
+        return _search(inn, last, set())
 
     def reversed(self):
         return DirectedGraph(self.n, frozenset((i, j) for j, i in self.edges))
@@ -85,6 +96,18 @@ class DirectedGraph:
         return cls(n, frozenset(edges))
 
 
+def _search(adjacency, r, seen):
+    """Add to ``seen`` every node reachable from r in ``adjacency``; return ``seen``."""
+    seen.add(r)
+    stack = [r]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 @dataclass(frozen=True)
 class WeightPair:
     """Row-stochastic A, column-stochastic B, Perron vectors and contraction factors."""
@@ -93,13 +116,21 @@ class WeightPair:
     B: np.ndarray
     u: np.ndarray  # left Perron vector of A, u^T 1 = n
     v: np.ndarray  # right Perron vector of B, 1^T v = n
-    tau_A: float
-    tau_B: float
     graph_A: DirectedGraph  # graph A was built on; GP/GT take Metropolis weights on it
 
     @property
     def n(self):
         return self.A.shape[0]
+
+    @cached_property
+    def tau_A(self):
+        """Contraction factor of A about its consensus projection (computed on first access)."""
+        return contraction_factor(self.A, np.outer(np.ones(self.n), self.u) / self.n)
+
+    @cached_property
+    def tau_B(self):
+        """Contraction factor of B about its consensus projection (computed on first access)."""
+        return contraction_factor(self.B, np.outer(self.v, np.ones(self.n)) / self.n)
 
 
 def generate_ring_plus_random(n, extra, seed):
@@ -109,19 +140,23 @@ def generate_ring_plus_random(n, extra, seed):
     if extra < 0:
         raise ConfigurationError(f"extra must be >= 0, got {extra}")
     ring = {(i, i % n + 1) for i in range(1, n + 1) if i != i % n + 1}
-    candidates = sorted(
-        (j, i)
-        for j in range(1, n + 1)
-        for i in range(1, n + 1)
-        if j != i and (j, i) not in ring
-    )
-    if extra > len(candidates):
+    # Non-ring candidates in sorted (j, i) order: each source j has the n - 2
+    # targets other than itself and its ring successor.
+    per_source = max(n - 2, 0)
+    available = n * per_source
+    if extra > available:
         raise ConfigurationError(
-            f"extra={extra} exceeds the {len(candidates)} available non-ring edges"
+            f"extra={extra} exceeds the {available} available non-ring edges"
         )
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(len(candidates), size=extra, replace=False) if extra else []
-    edges = ring | {candidates[int(c)] for c in picked}
+    picked = np.random.default_rng(seed).choice(available, size=extra, replace=False)
+    j, i = np.divmod(picked, max(per_source, 1))
+    j += 1
+    i += 1
+    succ = j % n + 1
+    lo, hi = np.minimum(j, succ), np.maximum(j, succ)
+    i += i >= lo
+    i += i >= hi
+    edges = ring | set(zip(j.tolist(), i.tolist()))
     return DirectedGraph(n, frozenset(edges))
 
 
@@ -201,9 +236,7 @@ def build_weight_pair(gA, gBt):
 
     u = _perron_left(A)
     v = _perron_left(B.T)
-    tau_A = contraction_factor(A, np.outer(np.ones(n), u) / n)
-    tau_B = contraction_factor(B, np.outer(v, np.ones(n)) / n)
-    return WeightPair(A=A, B=B, u=u, v=v, tau_A=tau_A, tau_B=tau_B, graph_A=gA)
+    return WeightPair(A=A, B=B, u=u, v=v, graph_A=gA)
 
 
 def underlying_metropolis(g):

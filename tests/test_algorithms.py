@@ -59,6 +59,16 @@ class TestAbStep:
         with pytest.raises(ConfigurationError):
             ab_dscsc_step(state, prob, wp, 0.1, 1.5, run_stream(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6, -2e6])
+    def test_guard_names_agent_of_bad_entry(self, bad):
+        prob = make_quadratic(5, 2, seed=0)
+        x0 = np.ones((5, 2))
+        x0[2, 1] = bad
+        with pytest.raises(DivergenceError) as err:
+            ab_dscsc_init(prob, x0, run_stream(0))
+        assert str(err.value) == "initial iterate non-finite or beyond 1e+06 at k=1, agent 3"
+        assert err.value.agent == 3 and err.value.k == 1
+
     @pytest.mark.parametrize("n,extra", [(3, 0), (5, 3), (10, 5)])
     def test_tracker_conservation(self, n, extra):
         # column stochasticity of B keeps sum_i y_i == sum_i h_i for all k

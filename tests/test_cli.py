@@ -100,6 +100,12 @@ class TestRunCommand:
         assert (out / "run_ab-dscsc_seed7.csv").exists()
         assert not (out / "run_ab-dscsc_seed0.csv").exists()
 
+    def test_separable_logistic_data_exit_2(self, runner, tmp_path):
+        text = "problem = logistic\nagents = 4\nsamples_per_agent = 6\ndim = 3\nproblem_seed = 2\niterations = 5\n"
+        res = runner.invoke(main, ["run", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "linearly separable" in res.output
+
     def test_config_error_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, BASE + "algorithm = sgd\n".replace("algorithm", "problem"))
         res = runner.invoke(main, ["run", "--config", cfg])
@@ -140,11 +146,14 @@ class TestSweepCommand:
 
     def test_divergence_exit_3_with_partial(self, runner, tmp_path):
         cfg = write(tmp_path, BASE.replace("alpha_a = 0.05", "alpha_a = 100.0"))
-        out = tmp_path / "o3"
-        res = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "2", "--out", str(out)])
-        assert res.exit_code == 3
-        partial = out / "run_ab-dscsc_seed0_partial.csv"
-        assert "# status = diverged@" in partial.read_text()
+        # every seed runs, and each diverged one leaves its own partial record
+        for jobs in ("1", "2"):
+            out = tmp_path / f"o3-jobs{jobs}"
+            res = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", jobs, "--out", str(out)])
+            assert res.exit_code == 3
+            for seed in (0, 1):
+                partial = out / f"run_ab-dscsc_seed{seed}_partial.csv"
+                assert "# status = diverged@" in partial.read_text()
 
     def test_jobs_below_one_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, BASE)

@@ -133,6 +133,16 @@ class TestLogistic:
         prob = make_logistic_cso(4, 8, 3, seed=5)
         assert np.linalg.norm(prob.true_grad_h(prob.optimum())) < 1e-8
 
+    def test_separable_data_rejected(self):
+        # every margin can be made positive, so the infimum 0 is not attained
+        with pytest.raises(ConfigurationError, match="linearly separable"):
+            make_logistic_cso(4, 6, 3, seed=2).optimum()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_noisy_desk_scale_instances_have_an_optimum(self, seed):
+        prob = make_logistic_cso(10, 20, 10, seed=seed, feature_scale=4.0, label_noise=4.0)
+        assert np.linalg.norm(prob.optimum()) < 1.0
+
     def test_pool_mean_used_in_closed_forms(self):
         prob = make_logistic_cso(2, 5, 3, seed=2, fixed_inner_pool=4)
         x = np.random.default_rng(0).normal(size=3)

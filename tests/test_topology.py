@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dscosim
 from dscosim.errors import AssumptionError, ConfigurationError
 from dscosim.topology import (
     DirectedGraph,
+    _perron_left,
     build_weight_pair,
     check_assumption2,
     contraction_factor,
@@ -37,6 +44,40 @@ class TestGenerateRing:
         b = generate_ring_plus_random(6, 4, seed=3)
         assert a.edges == b.edges
 
+    @staticmethod
+    def materialised_edges(n, extra, seed):
+        # the generator as first written: sort all non-ring candidates, index the draw
+        ring = {(i, i % n + 1) for i in range(1, n + 1) if i != i % n + 1}
+        candidates = sorted(
+            (j, i)
+            for j in range(1, n + 1)
+            for i in range(1, n + 1)
+            if j != i and (j, i) not in ring
+        )
+        if extra > len(candidates):
+            raise ConfigurationError(
+                f"extra={extra} exceeds the {len(candidates)} available non-ring edges"
+            )
+        rng = np.random.default_rng(seed)
+        picked = rng.choice(len(candidates), size=extra, replace=False) if extra else []
+        return ring | {candidates[int(c)] for c in picked}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 50])
+    def test_matches_materialised_candidates(self, n):
+        available = max(n * (n - 2), 0)
+        extras = {0, 1, 2, n, available // 2, max(available - 1, 0), available, available + 1}
+        for extra in sorted(extras):
+            for seed in range(4):
+                if extra > available:
+                    with pytest.raises(ConfigurationError) as expected:
+                        self.materialised_edges(n, extra, seed)
+                    with pytest.raises(ConfigurationError) as got:
+                        generate_ring_plus_random(n, extra, seed)
+                    assert str(got.value) == str(expected.value)
+                    continue
+                g = generate_ring_plus_random(n, extra, seed)
+                assert g.edges == self.materialised_edges(n, extra, seed), (n, extra, seed)
+
     def test_too_many_extra_rejected(self):
         # n=3: 6 ordered non-self pairs, 3 in the ring
         generate_ring_plus_random(3, 3, 0)
@@ -67,7 +108,8 @@ class TestAssumption2:
         assert check_assumption2(star1, star1)
         assert not check_assumption2(star1, star2)
 
-    def brute_force_roots(self, g):
+    @staticmethod
+    def brute_force_reach(g):
         # all-pairs reachability by repeated squaring of the boolean adjacency
         n = g.n
         adj = np.eye(n, dtype=bool)
@@ -76,18 +118,21 @@ class TestAssumption2:
         reach = adj.copy()
         for _ in range(n):
             reach = reach | (reach @ adj)
-        return {r + 1 for r in range(n) if reach[r].all()}
+        return reach
 
     @given(
-        n=st.integers(2, 5),
-        edges=st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12),
+        n=st.integers(1, 8),
+        edges=st.sets(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=24),
         seed=st.integers(0, 100),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_roots_match_brute_force(self, n, edges, seed):
         edges = {(j, i) for j, i in edges if j <= n and i <= n and j != i}
         g = DirectedGraph(n, frozenset(edges))
-        assert g.roots() == self.brute_force_roots(g)
+        reach = self.brute_force_reach(g)
+        assert g.roots() == {r + 1 for r in range(n) if reach[r].all()}
+        for r in range(n):
+            assert g.reachable_from(r + 1) == {i + 1 for i in range(n) if reach[r, i]}
 
 
 def power_iteration_left(A, iters=20000):
@@ -141,6 +186,30 @@ class TestBuildWeightPair:
         assert wp.u @ wp.v > 0
         assert wp.tau_A < 1 and wp.tau_B < 1
 
+    def test_bytes_match_per_node_edge_scan(self):
+        # A and B built from in-neighbor lists found by scanning every edge per node
+        def scan_in_neighbors(g, i):
+            return sorted({j for j, t in g.edges if t == i} | {i})
+
+        gA, gBt = generate_ring_plus_random(50, 60, 1), generate_ring_plus_random(50, 40, 2)
+        A, B = np.zeros((50, 50)), np.zeros((50, 50))
+        for i in range(1, 51):
+            for j in scan_in_neighbors(gA, i):
+                A[i - 1, j - 1] = 1.0 / len(scan_in_neighbors(gA, i))
+            for j in scan_in_neighbors(gBt, i):
+                B[j - 1, i - 1] = 1.0 / len(scan_in_neighbors(gBt, i))
+        wp = build_weight_pair(gA, gBt)
+        assert wp.A.tobytes() == A.tobytes() and wp.B.tobytes() == B.tobytes()
+        assert wp.u.tobytes() == _perron_left(A).tobytes()
+        assert wp.v.tobytes() == _perron_left(B.T).tobytes()
+
+    def test_tau_is_the_contraction_factor(self):
+        g = generate_ring_plus_random(12, 6, 3)
+        wp = build_weight_pair(g, g)
+        n = wp.n
+        assert wp.tau_A == contraction_factor(wp.A, np.outer(np.ones(n), wp.u) / n)
+        assert wp.tau_B == contraction_factor(wp.B, np.outer(wp.v, np.ones(n)) / n)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_empirical_geometric_mixing(self, seed):
         g = generate_ring_plus_random(8, 4, seed)
@@ -187,3 +256,12 @@ class TestMetropolis:
         assert np.max(np.abs(ones @ W - ones)) < 1e-12
         np.testing.assert_allclose(W, W.T)
         assert np.all(np.diag(W) > 0)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, dscosim.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dscosim.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
