@@ -13,6 +13,10 @@ All randomness flows from one counter-based Philox stream per run, consumed
 in a fixed order (inner-correction draw, then gradient draw, agents batched),
 so a run is bitwise reproducible from (config, seed), and the single-agent
 AB recursion consumes draws in exactly the same order as ``scsc_step``.
+
+``ab_dscsc_init``/``ab_dscsc_step`` also advance R independent replications at
+once: the state arrays are then agent-first ``(n, R, d)`` and the stream is a
+``ReplicaStreams``, which keeps each replica's own stream and draw order.
 """
 
 from __future__ import annotations
@@ -37,9 +41,29 @@ def run_stream(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+class ReplicaStreams:
+    """One ``run_stream`` per seed, drawn from as one stream.
+
+    A draw of shape ``(n, ...)`` is each replica's own draw of that shape, in
+    seed order, stacked on axis 1, so every replica consumes its stream exactly
+    as a serial run with that seed would.
+    """
+
+    def __init__(self, seeds):
+        self.seeds = list(seeds)
+        self.streams = [run_stream(s) for s in self.seeds]
+
+    def normal(self, size):
+        draws = np.array([g.normal(size=size) for g in self.streams])  # (R, n, ...)
+        return draws.swapaxes(0, 1).copy()
+
+
 @dataclass
 class NetworkState:
-    """Stacked per-agent state at iteration k, shared by every method."""
+    """Stacked per-agent state at iteration k, shared by every method.
+
+    Replica-batched AB-DSCSC states hold ``(n, R, d)`` arrays instead of ``(n, d)``.
+    """
 
     k: int
     x: np.ndarray  # (n, d)
@@ -48,17 +72,29 @@ class NetworkState:
     h_prev: np.ndarray | None  # (n, d) last stochastic gradients; None without tracking
 
 
-def _check_finite(arr, k, what):
+def _check_finite(arr, k, what, rng=None):
+    """Raise DivergenceError naming the first agent with a non-finite or runaway entry.
+
+    A replica-batched ``(n, R, d)`` array (``rng`` a ``ReplicaStreams``) names
+    the first such replica's seed, and the agent its own serial run would name.
+    """
     arr = np.atleast_2d(np.asarray(arr))
     if np.abs(arr).max() <= DIVERGENCE_LIMIT:  # False for NaN, so NaN falls through
         return
     bad = ~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)
-    if bad.any():
-        agent = int(np.argwhere(bad.any(axis=tuple(range(1, arr.ndim))))[0, 0]) + 1
+    seed = None
+    if arr.ndim == 3:  # (n, R, d): keep the first replica with a bad entry
+        r = int(np.argmax(bad.any(axis=(0, 2))))
+        bad, seed = bad[:, r], rng.seeds[r]
+    bad_agents = np.flatnonzero(bad.any(axis=1))
+    if bad_agents.size:
+        agent = int(bad_agents[0]) + 1
+        where = "" if seed is None else f", seed {seed}"
         raise DivergenceError(
-            f"{what} non-finite or beyond {DIVERGENCE_LIMIT:g} at k={k}, agent {agent}",
+            f"{what} non-finite or beyond {DIVERGENCE_LIMIT:g} at k={k}, agent {agent}{where}",
             k=k,
             agent=agent,
+            seed=seed,
         )
 
 
@@ -72,7 +108,7 @@ def ab_dscsc_init(problem, x0, rng, track=True):
     With ``track=False`` (GP-DSCGD) no gradient is drawn and y, h_prev are None.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    _check_finite(x0, 1, "initial iterate")
+    _check_finite(x0, 1, "initial iterate", rng)
     z, _ = problem.sample_inner_pair_all(x0, x0, rng)
     if not track:
         return NetworkState(k=1, x=x0, z=z, y=None, h_prev=None)
@@ -80,19 +116,26 @@ def ab_dscsc_init(problem, x0, rng, track=True):
     return NetworkState(k=1, x=x0, z=z, y=y, h_prev=y.copy())
 
 
+def _mix(W, x):
+    """W @ x over the agent axis; replica-batched ``(n, R, d)`` x is one ``(n, R*d)`` product."""
+    if x.ndim == 2:
+        return W @ x
+    return (W @ x.reshape(len(x), -1)).reshape(x.shape)
+
+
 def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng):
     """One synchronous round: pull-mix x, correct z, push-track y."""
     if not 0.0 < beta_k <= 1.0:
         raise ConfigurationError(f"beta_k must be in (0, 1], got {beta_k}")
     A, B = weights.A, weights.B
-    x_new = A @ (state.x - alpha_k * state.y)
-    _check_finite(x_new, state.k + 1, "iterate")
+    x_new = _mix(A, state.x - alpha_k * state.y)
+    _check_finite(x_new, state.k + 1, "iterate", rng)
     g_new, g_old = problem.sample_inner_pair_all(x_new, state.x, rng)
     z_new = _corrected_z(state.z, g_new, g_old, beta_k)
     h_new = problem.sample_grad_all(x_new, z_new, rng)
     # associate so that the n=1 case (B y == h_prev) reduces to y_new == h_new exactly
-    y_new = (B @ state.y - state.h_prev) + h_new
-    _check_finite(y_new, state.k + 1, "gradient tracker")
+    y_new = (_mix(B, state.y) - state.h_prev) + h_new
+    _check_finite(y_new, state.k + 1, "gradient tracker", rng)
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=y_new, h_prev=h_new)
 
 

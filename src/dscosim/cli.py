@@ -56,12 +56,28 @@ def _exit_codes(command):
 
 
 def _single_run(args):
-    """One sweep seed; a divergence is returned, not raised, so every seed runs."""
+    """One seed of a seed list; a divergence is returned, not raised, so every seed runs."""
     cfg_path, seed, out_dir = args
     try:
         return _execute_run(load_config(cfg_path), seed, out_dir)
     except DivergenceError as err:
         return err
+
+
+def _run_seeds(config_path, seeds, out_dir, jobs=1):
+    """Run every seed, serially or on `jobs` worker processes, and return their
+    (record, path) pairs; if any seed diverged, raise the first diverged seed's
+    error once all have run (each diverged seed has written its partial record)."""
+    tasks = [(config_path, s, out_dir) for s in seeds]
+    if jobs == 1:
+        results = [_single_run(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_single_run, tasks))
+    diverged = [r for r in results if isinstance(r, DivergenceError)]
+    if diverged:
+        raise diverged[0]
+    return results
 
 
 def _execute_run(cfg, seed, out_dir):
@@ -113,12 +129,10 @@ def cmd_run(config_path, seed, out_dir):
     cfg = load_config(config_path)
     seeds = [seed] if seed is not None else cfg.seed_list()
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    records = []
-    for s in seeds:
-        record, path = _execute_run(cfg, s, out_dir)
+    results = _run_seeds(config_path, seeds, out_dir)
+    for s, (record, path) in zip(seeds, results):
         click.echo(f"seed {s}: {record.status}, {len(record.rows)} rows -> {path}")
-        records.append(record)
-    agg_path = _write_aggregate(cfg, records, out_dir)
+    agg_path = _write_aggregate(cfg, [record for record, _ in results], out_dir)
     click.echo(f"aggregate -> {agg_path}")
 
 
@@ -132,15 +146,7 @@ def cmd_sweep(config_path, jobs, out_dir):
     cfg = load_config(config_path)
     seeds = cfg.seed_list()
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    if jobs == 1:
-        results = [_single_run((config_path, s, out_dir)) for s in seeds]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_single_run, [(config_path, s, out_dir) for s in seeds]))
-    diverged = [r for r in results if isinstance(r, DivergenceError)]
-    if diverged:
-        raise diverged[0]
-    records = [r for r, _ in results]
+    records = [record for record, _ in _run_seeds(config_path, seeds, out_dir, jobs)]
     agg_path = _write_aggregate(cfg, records, out_dir)
     click.echo(f"{len(records)} runs complete, aggregate -> {agg_path}")
 

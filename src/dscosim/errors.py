@@ -16,10 +16,11 @@ class CapabilityError(Exception):
 class DivergenceError(Exception):
     """Non-finite or runaway iterates detected during a run (exit code 3)."""
 
-    def __init__(self, message, k=None, agent=None):
+    def __init__(self, message, k=None, agent=None, seed=None):
         super().__init__(message)
         self.k = k
         self.agent = agent
+        self.seed = seed  # set for a replica-batched state
 
 
 class NumericalError(Exception):

@@ -1,7 +1,8 @@
 """Averaged-iterate normality study: replications, statistic, covariance match.
 
 For a strongly convex instance with known optimum, each replication runs the
-push-pull corrected method and accumulates, online, the running sums of
+push-pull corrected method (all replications as one replica-batched state) and
+accumulates, online, the running sums of
 
     top    = x_{i,t} - x*                        (chosen agent i)
     bottom = (1/n) sum_j  grad g_j(x*) T_j (z_{j,t} - g_j(x_{j,t}))
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ab_dscsc_init, ab_dscsc_step, run_stream
+from .algorithms import ReplicaStreams, ab_dscsc_init, ab_dscsc_step
 from .errors import CapabilityError, ConfigurationError, InsufficientDataError, NumericalError
 from .schedules import Polynomial
 
@@ -62,7 +63,9 @@ def _check_schedule(schedule):
 def collect_delta(replications, problem, weights, schedule, k, agent, base_seed):
     """R independent replications of the scaled averaged statistic.
 
-    Seeds are base_seed .. base_seed + R - 1; accumulation is online, no
+    Seeds are base_seed .. base_seed + R - 1.  The replications advance as one
+    agent-first ``(n, R, d)`` state, each on its own stream, so every sample is
+    bitwise the one a serial run of its seed gives; accumulation is online, no
     trajectory storage.
     """
     _check_schedule(schedule)
@@ -70,6 +73,8 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
         raise CapabilityError("normality study needs optimum and normality data")
     if not 1 <= agent <= problem.n:
         raise ConfigurationError(f"agent must be in [1, {problem.n}], got {agent}")
+    if replications < 1 or k < 1:
+        raise ConfigurationError(f"replications and k must be >= 1, got {replications} and {k}")
 
     xstar = problem.optimum()
     nd = problem.normality_data()
@@ -77,27 +82,25 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
     proj = [problem.true_inner_jacobian_t(j, xstar) @ nd.T[j] / problem.n for j in range(problem.n)]
     i0 = agent - 1
 
-    samples = []
-    for r in range(replications):
-        seed = base_seed + r
-        rng = run_stream(seed)
-        x0 = np.zeros((problem.n, problem.d))
-        state = ab_dscsc_init(problem, x0, rng)
-        top = np.zeros(problem.d)
-        bottom = np.zeros(problem.d)
-        for t in range(1, k + 1):
-            top += state.x[i0] - xstar
-            for j in range(problem.n):
-                bottom += proj[j] @ (state.z[j] - problem.true_g(j, state.x[j]))
-            if t < k:
-                state = ab_dscsc_step(
-                    state, problem, weights, schedule.alpha(t), schedule.beta_of(t), rng
-                )
-        scale = 1.0 / np.sqrt(k)
-        samples.append(
-            DeltaSample(top=scale * top, bottom=scale * bottom, agent_index=agent, k=k, seed=seed)
-        )
-    return samples
+    seeds = range(base_seed, base_seed + replications)
+    rng = ReplicaStreams(seeds)
+    state = ab_dscsc_init(problem, np.zeros((problem.n, replications, problem.d)), rng)
+    top = np.zeros((replications, problem.d))
+    bottom = np.zeros((replications, problem.d))
+    for t in range(1, k + 1):
+        top += state.x[i0] - xstar
+        for j in range(problem.n):
+            gap = state.z[j] - problem.true_g(j, state.x[j])
+            bottom += np.matmul(proj[j], gap[..., None])[..., 0]
+        if t < k:
+            state = ab_dscsc_step(
+                state, problem, weights, schedule.alpha(t), schedule.beta_of(t), rng
+            )
+    scale = 1.0 / np.sqrt(k)
+    return [
+        DeltaSample(top=scale * top[r], bottom=scale * bottom[r], agent_index=agent, k=k, seed=seed)
+        for r, seed in enumerate(seeds)
+    ]
 
 
 def theoretical_covariance(problem):

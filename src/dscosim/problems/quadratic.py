@@ -51,21 +51,25 @@ class QuadraticProblem(ProblemOracle):
         zeta = self.c[i] + rng.normal(size=self.d) * self.sigma_zeta
         return self.M[i].T @ (self.Q[i] @ z + zeta)
 
+    # The _all oracles also take replica-batched (n, R, d) states, with rng a
+    # ReplicaStreams whose draws carry the same replica axis.
+
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.d)) * self.sigma_phi
-        base_new = np.einsum("nij,nj->ni", self.M, X_new)
-        base_old = np.einsum("nij,nj->ni", self.M, X_old)
+        base_new = np.einsum("nij,n...j->n...i", self.M, X_new)
+        base_old = np.einsum("nij,n...j->n...i", self.M, X_old)
         return base_new + phi, base_old + phi
 
     def sample_grad_all(self, X, Z, rng):
-        zeta = self.c + rng.normal(size=(self.n, self.d)) * self.sigma_zeta
-        inner = np.einsum("nij,nj->ni", self.Q, Z) + zeta
-        return np.einsum("nji,nj->ni", self.M, inner)
+        c = self.c if Z.ndim == 2 else self.c[:, None]  # broadcast over replicas
+        zeta = c + rng.normal(size=(self.n, self.d)) * self.sigma_zeta
+        inner = np.einsum("nij,n...j->n...i", self.Q, Z) + zeta
+        return np.einsum("nji,n...j->n...i", self.M, inner)
 
     # -- closed forms -------------------------------------------------------
 
     def true_g(self, i, x):
-        return self.M[i] @ x
+        return np.matmul(self.M[i], x[..., None])[..., 0]  # x: (d,) or (R, d)
 
     def true_inner_jacobian_t(self, i, x):
         return self.M[i].T

@@ -116,9 +116,11 @@ class TestRunCommand:
         out = tmp_path / "o3"
         res = runner.invoke(main, ["run", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 3
-        partials = list(out.glob("*_partial.csv"))
-        assert len(partials) == 1
-        assert "# status = diverged@" in partials[0].read_text()
+        # every seed runs, and each diverged one leaves its own partial record
+        for seed in (0, 1):
+            partial = out / f"run_ab-dscsc_seed{seed}_partial.csv"
+            assert "# status = diverged@" in partial.read_text()
+        assert not (out / "aggregate.csv").exists()
 
     def test_determinism_across_invocations(self, runner, tmp_path):
         cfg = write(tmp_path, BASE)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dscosim.algorithms import ReplicaStreams, ab_dscsc_init, ab_dscsc_step, run_stream
 from dscosim.errors import (
     CapabilityError,
     ConfigurationError,
+    DivergenceError,
     InsufficientDataError,
     NumericalError,
 )
@@ -97,6 +99,77 @@ class TestCollectDelta:
         s = collect_delta(5, prob, wp, good_schedule(), 2000, 1, 0)
         norms = [np.linalg.norm(x.stacked()) for x in s]
         assert 1e-4 < max(norms) < 1e3
+
+    @pytest.mark.parametrize("replications,k", [(0, 10), (-1, 10), (2, 0), (2, -3)])
+    def test_empty_study_rejected(self, replications, k):
+        prob, wp = small_problem(), small_weights()
+        with pytest.raises(ConfigurationError, match="must be >= 1"):
+            collect_delta(replications, prob, wp, good_schedule(), k, 1, 0)
+
+
+def serial_delta(seed, prob, wp, schedule, k, agent):
+    """One replication on its own (n, d) state, accumulated as the batched study does."""
+    xstar = prob.optimum()
+    nd = prob.normality_data()
+    proj = [prob.true_inner_jacobian_t(j, xstar) @ nd.T[j] / prob.n for j in range(prob.n)]
+    rng = run_stream(seed)
+    state = ab_dscsc_init(prob, np.zeros((prob.n, prob.d)), rng)
+    top, bottom = np.zeros(prob.d), np.zeros(prob.d)
+    for t in range(1, k + 1):
+        top += state.x[agent - 1] - xstar
+        for j in range(prob.n):
+            bottom += proj[j] @ (state.z[j] - prob.M[j] @ state.x[j])
+        if t < k:
+            state = ab_dscsc_step(state, prob, wp, schedule.alpha(t), schedule.beta_of(t), rng)
+    scale = 1.0 / np.sqrt(k)
+    return scale * top, scale * bottom
+
+
+class TestReplicaBatching:
+    @pytest.mark.parametrize("n,d,R", [(1, 3, 4), (3, 2, 7), (10, 5, 3)])
+    def test_batched_equals_serial_bitwise(self, n, d, R):
+        prob = make_quadratic(n, d, seed=n, noise_inner=0.2, noise_outer=0.2)
+        wp = small_weights(n)
+        sched = good_schedule()
+        samples = collect_delta(R, prob, wp, sched, 60, n, base_seed=7)
+        assert [s.seed for s in samples] == list(range(7, 7 + R))
+        for s in samples:
+            top, bottom = serial_delta(s.seed, prob, wp, sched, 60, n)
+            assert s.top.tobytes() == top.tobytes() and s.bottom.tobytes() == bottom.tobytes()
+
+    def test_stacked_draws_are_each_seeds_own(self):
+        streams = ReplicaStreams([5, 9, 2])
+        serial = [run_stream(s) for s in (5, 9, 2)]
+        for size in [(3, 2), (4, 1), (2, 3)]:
+            draw = streams.normal(size=size)
+            assert draw.shape == (size[0], 3, size[1])
+            for r, g in enumerate(serial):
+                assert draw[:, r].tobytes() == g.normal(size=size).tobytes()
+
+    def test_tracker_conservation_per_replica(self):
+        prob = make_quadratic(4, 3, seed=2, noise_inner=0.2, noise_outer=0.2)
+        g = generate_ring_plus_random(4, 2, 3)
+        wp = build_weight_pair(g, g)
+        rng = ReplicaStreams(range(6))
+        state = ab_dscsc_init(prob, np.zeros((4, 6, 3)), rng)
+        for k in range(1, 201):
+            state = ab_dscsc_step(state, prob, wp, 0.02 / k**0.6, min(1.0, 1.0 / k**0.6), rng)
+        drift = np.abs(state.y.sum(axis=0) - state.h_prev.sum(axis=0))  # (R, d)
+        assert drift.shape == (6, 3) and drift.max() < 1e-10
+
+    def test_divergence_names_seed_as_its_serial_run(self):
+        prob = make_quadratic(3, 2, seed=0, noise_inner=0.2, noise_outer=0.2)
+        wp = small_weights(3)
+        # seeds 20 and 21 cross the tracker guard at k=5, after seed 23 crossed the iterate guard
+        sched = StepSchedule(Polynomial(10.0, 0.0, 0.7), beta=1.0)
+        with pytest.raises(DivergenceError) as batched:
+            collect_delta(6, prob, wp, sched, 200, 1, base_seed=20)
+        err = batched.value
+        assert err.seed == 23 and "seed 23" in str(err)
+        with pytest.raises(DivergenceError) as serial:
+            serial_delta(err.seed, prob, wp, sched, 200, 1)
+        assert (serial.value.k, serial.value.agent) == (err.k, err.agent)
+        assert str(err) == f"{serial.value}, seed {err.seed}"
 
 
 class TestCompareCovariance:
