@@ -211,6 +211,8 @@ def run(
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     if K < 1:
         raise ConfigurationError(f"K must be >= 1, got {K}")
+    if metric_stride < 1:
+        raise ConfigurationError(f"metric_stride must be >= 1, got {metric_stride}")
     single_agent = algorithm in ("scgd", "scsc")
     dscgd = algorithm in ("gp-dscgd", "gt-dscgd")
     if single_agent and problem.n != 1:

@@ -121,7 +121,8 @@ def _write_aggregate(cfg, records, out_dir):
 
 @main.command("run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None, help="override the config's seed list")
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
+              help="override the config's seed list")
 @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
 @_exit_codes
 def cmd_run(config_path, seed, out_dir):

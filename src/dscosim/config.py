@@ -57,16 +57,18 @@ _DEFAULTS = {
     "threshold": 0.3,
 }
 
-_INT_KEYS = {
-    "agents", "dim", "problem_seed", "samples_per_agent", "fixed_inner_pool",
-    "tasks_per_agent", "hidden_width", "inner_dim", "topology_extra",
-    "topology_seed", "iterations", "metric_stride", "replications",
-    "normality_k", "agent",
-}
-_FLOAT_KEYS = {
-    "noise_inner", "noise_outer", "conditioning", "adapt_step", "eta",
-    "gamma", "alpha_a", "alpha_b", "alpha_exponent", "beta", "beta_exponent",
-    "threshold", "feature_scale", "label_noise",
+# Smallest accepted value of each integer key, checked before anything is built.
+_MINIMUMS = {
+    "agents": 1,
+    "dim": 1,
+    "iterations": 1,
+    "metric_stride": 1,
+    "normality_k": 1,
+    "tasks_per_agent": 1,
+    "inner_dim": 0,
+    "fixed_inner_pool": 0,
+    "problem_seed": 0,
+    "topology_seed": 0,
 }
 
 PROBLEM_FAMILIES = ("quadratic", "logistic", "maml", "sigmoid")
@@ -81,11 +83,11 @@ class ExperimentConfig:
         for k, v in self.values.items():
             if k not in _DEFAULTS:
                 raise ConfigurationError(f"unknown config key {k!r}")
-            merged[k] = v
-        for k in _INT_KEYS:
-            merged[k] = int(merged[k])
-        for k in _FLOAT_KEYS:
-            merged[k] = float(merged[k])
+            kind = type(_DEFAULTS[k])
+            try:
+                merged[k] = kind(v)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{k} must be {kind.__name__}, got {v!r}") from exc
         self.values = merged
         self._validate()
 
@@ -102,18 +104,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown alpha schedule {v['alpha_schedule']!r}")
         if v["beta_rule"] not in ("proportional", "constant", "polynomial"):
             raise ConfigurationError(f"unknown beta rule {v['beta_rule']!r}")
-        if v["iterations"] < 1:
-            raise ConfigurationError("iterations must be >= 1")
-        if v["metric_stride"] < 1:
-            raise ConfigurationError("metric_stride must be >= 1")
+        for key, low in _MINIMUMS.items():
+            if v[key] < low:
+                raise ConfigurationError(f"{key} must be >= {low}, got {v[key]}")
         if v["beta"] <= 0:
             raise ConfigurationError("beta must be > 0")
         if v["beta_rule"] == "constant" and v["beta"] > 1:
             raise ConfigurationError("constant beta must be <= 1")
-        if v["agents"] < 1:
-            raise ConfigurationError("agents must be >= 1")
-        if v["normality_k"] < 1:
-            raise ConfigurationError("normality_k must be >= 1")
         self.seed_list()  # parses and validates
 
     def seed_list(self):
@@ -121,14 +118,18 @@ class ExperimentConfig:
         try:
             if ":" in spec:
                 base, count = (int(t) for t in spec.split(":"))
-                if count < 1:
-                    raise ValueError
-                return [base + i for i in range(count)]
-            return [int(t) for t in spec.split(",") if t.strip()]
+                seeds = [base + i for i in range(count)]
+            else:
+                seeds = [int(t) for t in spec.split(",") if t.strip()]
         except ValueError as exc:
             raise ConfigurationError(
                 f"seeds must be 'base:count' or a comma list, got {spec!r}"
             ) from exc
+        if not seeds or not all(0 <= s < 2**64 for s in seeds):  # a Philox key is a uint64
+            raise ConfigurationError(
+                f"seeds must be one or more integers in [0, 2**64), got {spec!r}"
+            )
+        return seeds
 
     def build_problem(self):
         v = self.values

@@ -48,52 +48,36 @@ class LogisticProblem(ProblemOracle):
     def d(self):
         return self.a.shape[2]
 
-    def inner_dim(self, i):
-        return self.m
-
     @property
     def phi_mean(self):
         return self.pool.mean(axis=0) if self.pool is not None else np.zeros(self.d)
 
     # -- sampling -----------------------------------------------------------
 
-    def _draw_phi(self, rng, size=None):
+    def _draw_phi(self, rng):
+        """One inner sample per agent, (n, d)."""
         if self.pool is not None:
-            idx = rng.integers(0, self.pool.shape[0], size=size)
+            idx = rng.integers(0, self.pool.shape[0], size=self.n)
             return self.pool[idx]
-        shape = (self.d,) if size is None else (size, self.d)
-        return rng.normal(size=shape)
-
-    def _inner(self, i, x, phi):
-        return -self.b[i] * ((self.a[i] + phi) @ x)
-
-    def sample_inner_pair(self, i, x_new, x_old, rng):
-        phi = self._draw_phi(rng)
-        return self._inner(i, x_new, phi), self._inner(i, x_old, phi)
-
-    def sample_grad(self, i, x, z, rng):
-        phi = self._draw_phi(rng)
-        w = _sigmoid(z) / self.m  # outer gradient, deterministic
-        cols = -self.b[i][:, None] * (self.a[i] + phi)  # (m, d)
-        return cols.T @ w
+        return rng.normal(size=(self.n, self.d))
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
-        phi = self._draw_phi(rng, size=self.n)  # (n, d)
+        phi = self._draw_phi(rng)
         shifted = self.a + phi[:, None, :]
         new = -self.b * np.einsum("nmd,nd->nm", shifted, X_new)
         old = -self.b * np.einsum("nmd,nd->nm", shifted, X_old)
         return new, old
 
     def sample_grad_all(self, X, Z, rng):
-        phi = self._draw_phi(rng, size=self.n)
-        w = _sigmoid(Z) / self.m
+        phi = self._draw_phi(rng)
+        w = _sigmoid(Z) / self.m  # outer gradient, deterministic
         shifted = self.a + phi[:, None, :]
         return -np.einsum("nm,nmd,nm->nd", self.b, shifted, w)
 
     # -- closed forms (mean inner map) --------------------------------------
 
     def true_g(self, i, x):
-        return self._inner(i, x, self.phi_mean)
+        return -self.b[i] * ((self.a[i] + self.phi_mean) @ x)
 
     def _mean_jacobians(self):
         # grad g_i as columns: (n, m, d) with row j = -b_j (phi_mean + a_j)

@@ -15,7 +15,7 @@ sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class SinusoidMamlProblem(ProblemOracle):
     phase: np.ndarray  # (n, tasks)
     adapt_step: float
     batch_size: int = 10
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self):
@@ -110,9 +109,6 @@ class SinusoidMamlProblem(ProblemOracle):
     @property
     def d(self):
         return self.net.n_params
-
-    def inner_dim(self, i):
-        return self.d
 
     def init_params(self, rng):
         return self.net.init_params(rng)
@@ -127,11 +123,16 @@ class SinusoidMamlProblem(ProblemOracle):
         _, grad = self.net.loss_grad(x, *batch)
         return grad
 
-    def sample_inner_pair(self, i, x_new, x_old, rng):
-        batch = self._draw_batch(i, rng)
-        new = x_new - self.adapt_step * self._task_grad(x_new, batch)
-        old = x_old - self.adapt_step * self._task_grad(x_old, batch)
-        return new, old
+    # The sampling primitives loop over agents in order: agent i draws all of its
+    # minibatches before agent i + 1 draws any.
+
+    def sample_inner_pair_all(self, X_new, X_old, rng):
+        new, old = [], []
+        for i in range(self.n):
+            batch = self._draw_batch(i, rng)
+            new.append(X_new[i] - self.adapt_step * self._task_grad(X_new[i], batch))
+            old.append(X_old[i] - self.adapt_step * self._task_grad(X_old[i], batch))
+        return np.stack(new), np.stack(old)
 
     def hvp(self, x, vec, batch):
         """Central finite-difference Hessian-vector product of the task loss."""
@@ -141,24 +142,16 @@ class SinusoidMamlProblem(ProblemOracle):
         gm = self._task_grad(x - eps * vec, batch)
         return (gp - gm) / (2.0 * eps)
 
-    def sample_grad(self, i, x, z, rng):
-        inner_batch = self._draw_batch(i, rng)
-        outer_batch = self._draw_batch(i, rng)
-        v = self._task_grad(z, outer_batch)
-        if self.adapt_step == 0.0:
-            return v
-        return v - self.adapt_step * self.hvp(x, v, inner_batch)
-
-    def mean_loss(self, params, rng, batches=20):
-        """Monte Carlo estimate of the post-adaptation objective at `params`."""
-        total = 0.0
+    def sample_grad_all(self, X, Z, rng):
+        grads = []
         for i in range(self.n):
-            for _ in range(batches):
-                adapted, _ = self.sample_inner_pair(i, params, params, rng)
-                batch = self._draw_batch(i, rng)
-                loss, _ = self.net.loss_grad(adapted, *batch)
-                total += loss
-        return total / (self.n * batches)
+            inner_batch = self._draw_batch(i, rng)
+            outer_batch = self._draw_batch(i, rng)
+            v = self._task_grad(Z[i], outer_batch)
+            if self.adapt_step != 0.0:
+                v = v - self.adapt_step * self.hvp(X[i], v, inner_batch)
+            grads.append(v)
+        return np.stack(grads)
 
 
 def make_sinusoid_maml(n, tasks_per_agent, hidden_width, adapt_step, seed, batch_size=10):

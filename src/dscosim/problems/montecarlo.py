@@ -10,34 +10,33 @@ INNER_PROXY_DRAWS = 1000
 
 
 def monte_carlo_grad_h(problem, x, draws, rng, inner_draws=INNER_PROXY_DRAWS):
-    """Estimate grad h(x) by averaging the per-agent stochastic gradients.
+    """Estimate grad h(x) through the stacked oracles, with every agent at x.
 
-    Each of the `draws` outer samples evaluates (1/n) sum_i of
-    sample_grad(i, x, z_i) where z_i is the agent's inner value at x: the
-    closed form when the oracle has one, otherwise the mean of
-    `inner_draws` fresh inner samples per outer draw.
+    Each of the `draws` outer samples is the agent mean of
+    ``sample_grad_all(X, Z)``, where X stacks x once per agent and Z holds the
+    agents' inner values at x: the closed form when the oracle has one,
+    otherwise the mean of `inner_draws` fresh stacked inner samples per outer
+    draw.
 
     Returns (mean, stderr) per coordinate.
     """
     if draws < 1:
         raise ConfigurationError(f"draws must be >= 1, got {draws}")
     n, d = problem.n, problem.d
+    X = np.tile(x, (n, 1))
 
-    def inner_value(i):
+    def inner_values():
         if problem.has_true_g:
-            return problem.true_g(i, x)
+            return np.stack([problem.true_g(i, x) for i in range(n)])
         acc = None
         for _ in range(inner_draws):
-            g, _ = problem.sample_inner_pair(i, x, x, rng)
-            acc = g if acc is None else acc + g
+            G, _ = problem.sample_inner_pair_all(X, X, rng)
+            acc = G if acc is None else acc + G
         return acc / inner_draws
 
     samples = np.empty((draws, d))
     for t in range(draws):
-        total = np.zeros(d)
-        for i in range(n):
-            total += problem.sample_grad(i, x, inner_value(i), rng)
-        samples[t] = total / n
+        samples[t] = problem.sample_grad_all(X, inner_values(), rng).mean(axis=0)
     mean = samples.mean(axis=0)
     if draws == 1:
         return mean, np.zeros(d)

@@ -38,18 +38,7 @@ class QuadraticProblem(ProblemOracle):
     def d(self):
         return self.M.shape[2]
 
-    def inner_dim(self, i):
-        return self.d
-
     # -- sampling -----------------------------------------------------------
-
-    def sample_inner_pair(self, i, x_new, x_old, rng):
-        phi = rng.normal(size=self.d) * self.sigma_phi
-        return self.M[i] @ x_new + phi, self.M[i] @ x_old + phi
-
-    def sample_grad(self, i, x, z, rng):
-        zeta = self.c[i] + rng.normal(size=self.d) * self.sigma_zeta
-        return self.M[i].T @ (self.Q[i] @ z + zeta)
 
     # The _all oracles also take replica-batched (n, R, d) states, with rng a
     # ReplicaStreams whose draws carry the same replica axis.

@@ -39,19 +39,6 @@ class SigmoidQuadraticProblem(ProblemOracle):
     def d(self):
         return self.W.shape[2]
 
-    def inner_dim(self, i):
-        return self.p
-
-    def sample_inner_pair(self, i, x_new, x_old, rng):
-        phi = rng.normal(size=self.p) * self.sigma_phi
-        return np.tanh(self.W[i] @ x_new) + phi, np.tanh(self.W[i] @ x_old) + phi
-
-    def sample_grad(self, i, x, z, rng):
-        zeta = rng.normal(size=self.p) * self.sigma_zeta
-        s = np.tanh(self.W[i] @ x)
-        jac_t = self.W[i].T * (1.0 - s**2)  # (d, p)
-        return jac_t @ (z - self.t[i] + zeta)
-
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.p)) * self.sigma_phi
         new = np.tanh(np.einsum("npd,nd->np", self.W, X_new)) + phi

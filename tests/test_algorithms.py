@@ -189,6 +189,12 @@ class TestRunDriver:
         with pytest.raises(ConfigurationError):
             run("ab-dscsc", prob, sched(), 10)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_bad_metric_stride(self, stride):
+        prob = make_quadratic(3, 2, seed=0)
+        with pytest.raises(ConfigurationError, match="metric_stride"):
+            run("ab-dscsc", prob, sched(), 10, weights=ring_weights(3), metric_stride=stride)
+
     def test_divergence_raises_with_partial_record(self):
         prob = make_quadratic(3, 2, seed=5, noise_inner=0.1, noise_outer=0.1)
         wp = ring_weights(3)

@@ -74,9 +74,29 @@ class TestConfigParsing:
             {"iterations": 0},
             {"beta_rule": "weird"},
             {"beta_rule": "constant", "beta": 2.0},
+            {"agents": "2.5"},
+            {"agents": "x"},
+            {"eta": "abc"},
+            {"seeds": "-1"},
+            {"seeds": "-3:2"},
+            {"seeds": str(2**64)},
+            {"seeds": ","},
+            {"seeds": "4:0"},
+            {"problem_seed": -2},
+            {"topology_seed": -1},
+            {"dim": 0},
+            {"tasks_per_agent": 0},
+            {"inner_dim": -1},
+            {"fixed_inner_pool": -1},
         ]:
             with pytest.raises(ConfigurationError):
                 ExperimentConfig(bad)
+
+    def test_non_number_names_key_and_value(self):
+        with pytest.raises(ConfigurationError, match="agents must be int, got '2.5'"):
+            ExperimentConfig({"agents": "2.5"})
+        with pytest.raises(ConfigurationError, match="eta must be float, got 'abc'"):
+            ExperimentConfig({"eta": "abc"})
 
 
 class TestRunCommand:
@@ -109,6 +129,36 @@ class TestRunCommand:
     def test_config_error_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, BASE + "algorithm = sgd\n".replace("algorithm", "problem"))
         res = runner.invoke(main, ["run", "--config", cfg])
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "agents = 2.5",
+            "agents = x",
+            "eta = abc",
+            "seeds = -1",
+            "seeds = ,",
+            "problem_seed = -2",
+            "topology_seed = -1",
+            "dim = 0",
+            "problem = maml\ntasks_per_agent = 0",
+            "problem = sigmoid\ninner_dim = -1",
+            "problem = logistic\nfixed_inner_pool = -1",
+        ],
+    )
+    def test_bad_value_exit_2(self, runner, tmp_path, line):
+        keys = {ln.split("=")[0].strip() for ln in line.splitlines()}
+        base = [ln for ln in BASE.splitlines() if ln.split("=")[0].strip() not in keys]
+        cfg = write(tmp_path, "\n".join(base + [line]) + "\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["run", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "must" in res.output and "duplicate" not in res.output
+        assert not (out / "aggregate.csv").exists()
+
+    def test_negative_seed_option_exit_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["run", "--config", write(tmp_path, BASE), "--seed", "-1"])
         assert res.exit_code == 2
 
     def test_divergence_exit_3_with_partial(self, runner, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from dscosim.errors import CapabilityError, ConfigurationError
 from dscosim.problems import (
+    LogisticProblem,
     make_logistic_cso,
     make_quadratic,
     make_sigmoid_quadratic,
@@ -36,25 +37,37 @@ def family(request):
 
 class TestOracleContract:
     def test_shared_inner_sample(self, family):
-        # both evaluations of a pair must use one common inner draw:
+        # both evaluations of a pair must use one common inner draw per agent:
         # with equal arguments they are bitwise identical
         rng = np.random.default_rng(0)
-        x = rng.normal(size=family.d)
-        for i in range(family.n):
-            a, b = family.sample_inner_pair(i, x, x, np.random.default_rng(7))
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-
-    def test_batched_matches_per_agent(self, family):
-        # the vectorized paths must consume draws identically given equal streams
-        rng = np.random.default_rng(5)
         X = rng.normal(size=(family.n, family.d))
-        new, old = family.sample_inner_pair_all(X, X * 0.5, np.random.default_rng(9))
-        assert len(np.asarray(new)) == family.n
-        np.testing.assert_allclose(
-            np.asarray(new)[0].shape, (family.inner_dim(0),)
-        )
-        G = family.sample_grad_all(X, new, np.random.default_rng(9))
-        assert np.asarray(G).shape == (family.n, family.d)
+        a, b = family.sample_inner_pair_all(X, X, np.random.default_rng(7))
+        np.testing.assert_array_equal(a, b)
+
+    def test_stacked_draw_order(self, family):
+        # one stacked draw per call, row i for agent i, shared by both points
+        rng = np.random.default_rng(5)
+        X_new = rng.normal(size=(family.n, family.d))
+        X_old = 0.5 * X_new
+        new, old = family.sample_inner_pair_all(X_new, X_old, np.random.default_rng(9))
+        ref = np.random.default_rng(9)
+        if isinstance(family, LogisticProblem):
+            if family.pool is not None:
+                phi = family.pool[ref.integers(0, len(family.pool), size=family.n)]
+            else:
+                phi = ref.normal(size=(family.n, family.d))
+            for X, out in ((X_new, new), (X_old, old)):
+                expected = -family.b * np.einsum("nmd,nd->nm", family.a + phi[:, None, :], X)
+                assert out.shape == expected.shape == (family.n, family.m)
+                np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-13)
+        else:
+            noise = family.sigma_phi * ref.normal(size=new.shape)
+            for X, out in ((X_new, new), (X_old, old)):
+                G = np.stack([family.true_g(i, X[i]) for i in range(family.n)])
+                assert out.shape == G.shape
+                np.testing.assert_allclose(out - G, noise, rtol=0, atol=1e-13)
+        G = family.sample_grad_all(X_new, new, np.random.default_rng(9))
+        assert G.shape == (family.n, family.d)
 
     def test_capability_flags_guard(self):
         prob = make_sinusoid_maml(2, 5, 3, 0.01, seed=0)
@@ -114,10 +127,10 @@ class TestQuadratic:
     def test_zero_noise_sampling_is_exact(self):
         prob = make_quadratic(3, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=2)
+        X = np.tile(rng.normal(size=2), (prob.n, 1))
+        G, _ = prob.sample_inner_pair_all(X, X, rng)
         for i in range(prob.n):
-            g, _ = prob.sample_inner_pair(i, x, x, rng)
-            np.testing.assert_allclose(g, prob.true_g(i, x))
+            np.testing.assert_allclose(G[i], prob.true_g(i, X[i]))
 
     def test_bad_conditioning_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -172,17 +185,16 @@ class TestLogistic:
 class TestSigmoid:
     def test_inner_dim_override(self):
         prob = make_sigmoid_quadratic(2, 3, seed=0, p=5)
-        assert prob.inner_dim(0) == 5 and prob.d == 3
+        assert prob.p == 5 and prob.d == 3
 
     def test_gradient_zero_noise_matches_closed_form(self):
         prob = make_sigmoid_quadratic(3, 4, seed=1, noise_inner=0.0, noise_outer=0.0)
         rng = np.random.default_rng(2)
         x = rng.normal(size=4)
-        total = np.zeros(4)
-        for i in range(prob.n):
-            z = prob.true_g(i, x)
-            total += prob.sample_grad(i, x, z, rng)
-        np.testing.assert_allclose(total / prob.n, prob.true_grad_h(x), atol=1e-12)
+        X = np.tile(x, (prob.n, 1))
+        Z = np.stack([prob.true_g(i, x) for i in range(prob.n)])
+        grads = prob.sample_grad_all(X, Z, rng)
+        np.testing.assert_allclose(grads.mean(axis=0), prob.true_grad_h(x), atol=1e-12)
 
 
 class TestMlpRegressor:
@@ -220,24 +232,26 @@ class TestMaml:
         np.testing.assert_allclose(prob.hvp(x, v, batch), H @ v, atol=1e-4)
 
     def test_inner_is_one_adaptation_step(self):
-        prob = make_sinusoid_maml(1, 3, 2, 0.02, seed=0)
+        prob = make_sinusoid_maml(2, 3, 2, 0.02, seed=0)
         rng = np.random.default_rng(3)
-        x = prob.init_params(rng)
-        adapted, _ = prob.sample_inner_pair(0, x, x, np.random.default_rng(5))
-        # same stream reproduces the same batch, so the step is checkable
+        X = np.stack([prob.init_params(rng) for _ in range(prob.n)])
+        adapted, _ = prob.sample_inner_pair_all(X, X, np.random.default_rng(5))
+        # same stream reproduces the same batches, agent by agent, so the step is checkable
         rng2 = np.random.default_rng(5)
-        batch = prob._draw_batch(0, rng2)
-        np.testing.assert_allclose(adapted, x - 0.02 * prob._task_grad(x, batch))
+        for i in range(prob.n):
+            batch = prob._draw_batch(i, rng2)
+            np.testing.assert_allclose(adapted[i], X[i] - 0.02 * prob._task_grad(X[i], batch))
 
     def test_zero_adapt_step_gradient_is_plain(self):
-        prob = make_sinusoid_maml(1, 3, 2, 0.0, seed=0)
+        prob = make_sinusoid_maml(2, 3, 2, 0.0, seed=0)
         rng = np.random.default_rng(4)
-        x = prob.init_params(rng)
-        g = prob.sample_grad(0, x, x, np.random.default_rng(6))
+        X = np.stack([prob.init_params(rng) for _ in range(prob.n)])
+        G = prob.sample_grad_all(X, X, np.random.default_rng(6))
         rng2 = np.random.default_rng(6)
-        prob._draw_batch(0, rng2)  # inner batch draw comes first
-        outer = prob._draw_batch(0, rng2)
-        np.testing.assert_allclose(g, prob._task_grad(x, outer))
+        for i in range(prob.n):
+            prob._draw_batch(i, rng2)  # inner batch draw comes first
+            outer = prob._draw_batch(i, rng2)
+            np.testing.assert_allclose(G[i], prob._task_grad(X[i], outer))
 
     def test_amplitude_phase_ranges(self):
         prob = make_sinusoid_maml(3, 50, 2, 0.01, seed=9)
