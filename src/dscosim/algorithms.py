@@ -21,6 +21,7 @@ once: the state arrays are then agent-first ``(n, R, d)`` and the stream is a
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -47,15 +48,33 @@ class ReplicaStreams:
     A draw of shape ``(n, ...)`` is each replica's own draw of that shape, in
     seed order, stacked on axis 1, so every replica consumes its stream exactly
     as a serial run with that seed would.
+
+    Each stream draws its standard normals in blocks into a joint ``(R, block)``
+    buffer of about ``BUFFER_BYTES``, and each draw is sliced from it in stream
+    order. ``normal`` is the only draw offered, and a Philox ``normal(size=N)``
+    equals the same N values drawn in successive calls, so the bits are those
+    of per-draw calls.
     """
+
+    BUFFER_BYTES = 256 * 1024
 
     def __init__(self, seeds):
         self.seeds = list(seeds)
         self.streams = [run_stream(s) for s in self.seeds]
+        self.block = max(1, self.BUFFER_BYTES // (8 * len(self.seeds)))
+        self._buf = np.empty((len(self.seeds), 0))
+        self._pos = 0
 
     def normal(self, size):
-        draws = np.array([g.normal(size=size) for g in self.streams])  # (R, n, ...)
-        return draws.swapaxes(0, 1).copy()
+        count = math.prod(size)
+        left = self._buf.shape[1] - self._pos
+        if count > left:  # refill, keeping the unread tail in front
+            fresh = np.array([g.normal(size=max(self.block, count - left)) for g in self.streams])
+            self._buf = np.concatenate([self._buf[:, self._pos :], fresh], axis=1)
+            self._pos = 0
+        draws = self._buf[:, self._pos : self._pos + count].reshape(len(self.seeds), *size)
+        self._pos += count
+        return draws.swapaxes(0, 1).copy()  # (n, R, ...)
 
 
 @dataclass

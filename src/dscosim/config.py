@@ -7,6 +7,7 @@ every output file header.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .algorithms import ALGORITHMS
@@ -85,6 +86,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown config key {k!r}")
             kind = type(_DEFAULTS[k])
             try:
+                if kind is int and not isinstance(v, (numbers.Integral, str)):
+                    raise TypeError  # int() would truncate a float, which a config file rejects
                 merged[k] = kind(v)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{k} must be {kind.__name__}, got {v!r}") from exc

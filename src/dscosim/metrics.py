@@ -25,10 +25,10 @@ def tracking_error(z, x, problem):
     """sum_i ||z_i - g_i(x_i)||^2; needs a closed-form inner value."""
     if not problem.has_true_g:
         raise CapabilityError("tracking error needs true_g")
-    x = np.atleast_2d(x)
+    per_agent = np.sum((z - problem.true_g(np.atleast_2d(x))) ** 2, axis=1)
     total = 0.0
-    for i in range(problem.n):
-        total += float(np.sum((z[i] - problem.true_g(i, x[i])) ** 2))
+    for v in per_agent.tolist():  # left to right in agent order; np.sum would add pairwise
+        total += v
     return total
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .algorithms import ReplicaStreams, ab_dscsc_init, ab_dscsc_step
 from .errors import CapabilityError, ConfigurationError, InsufficientDataError, NumericalError
+from .problems.base import agent_matvec
 from .schedules import Polynomial
 
 
@@ -75,11 +76,17 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
         raise ConfigurationError(f"agent must be in [1, {problem.n}], got {agent}")
     if replications < 1 or k < 1:
         raise ConfigurationError(f"replications and k must be >= 1, got {replications} and {k}")
+    if not 0 <= base_seed <= 2**64 - replications:  # every replica's Philox key is a uint64
+        raise ConfigurationError(
+            f"seeds {base_seed} .. {base_seed + replications - 1} must lie in [0, 2**64)"
+        )
 
     xstar = problem.optimum()
     nd = problem.normality_data()
-    # (1/n) grad g_j(x*) T_j, fused per agent
-    proj = [problem.true_inner_jacobian_t(j, xstar) @ nd.T[j] / problem.n for j in range(problem.n)]
+    # (1/n) grad g_j(x*) T_j, fused per agent, stacked (n, d, p)
+    projs = np.stack(
+        [problem.true_inner_jacobian_t(j, xstar) @ nd.T[j] / problem.n for j in range(problem.n)]
+    )
     i0 = agent - 1
 
     seeds = range(base_seed, base_seed + replications)
@@ -89,9 +96,11 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
     bottom = np.zeros((replications, problem.d))
     for t in range(1, k + 1):
         top += state.x[i0] - xstar
-        for j in range(problem.n):
-            gap = state.z[j] - problem.true_g(j, state.x[j])
-            bottom += np.matmul(proj[j], gap[..., None])[..., 0]
+        gap = state.z - problem.true_g(state.x)  # (n, R, p)
+        # one product for all agents, added agent by agent: a reduce over agents would
+        # change the float order
+        for contribution in agent_matvec(projs, gap):
+            bottom += contribution
         if t < k:
             state = ab_dscsc_step(
                 state, problem, weights, schedule.alpha(t), schedule.beta_of(t), rng

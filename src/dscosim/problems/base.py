@@ -25,6 +25,16 @@ import numpy as np
 from ..errors import CapabilityError
 
 
+def agent_matvec(M, X):
+    """Per-agent products ``M[i] @ X[i, ..., :]`` for M ``(n, a, b)`` and X ``(n, ..., b)``.
+
+    One stacked ``matmul``, which applies the same kernel to each agent (and
+    replica) as ``M[i] @ x`` does, so every row has the bits of its own product.
+    """
+    M = M.reshape(M.shape[:1] + (1,) * (X.ndim - 2) + M.shape[1:])
+    return np.matmul(M, X[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class NormalityData:
     """Closed-form ingredients of the asymptotic covariance.
@@ -62,7 +72,8 @@ class ProblemOracle:
 
     # Ground-truth accessors, guarded by capability flags.
 
-    def true_g(self, i, x):
+    def true_g(self, X):
+        """Stacked closed-form inner values: row i is g_i(X[i]), shape (n, p)."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form inner value")
 
     def true_inner_jacobian_t(self, i, x):

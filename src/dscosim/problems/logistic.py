@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle
+from .base import ProblemOracle, agent_matvec
 
 
 def _sigmoid(z):
@@ -76,8 +76,8 @@ class LogisticProblem(ProblemOracle):
 
     # -- closed forms (mean inner map) --------------------------------------
 
-    def true_g(self, i, x):
-        return -self.b[i] * ((self.a[i] + self.phi_mean) @ x)
+    def true_g(self, X):
+        return -self.b * agent_matvec(self.a + self.phi_mean, X)
 
     def _mean_jacobians(self):
         # grad g_i as columns: (n, m, d) with row j = -b_j (phi_mean + a_j)

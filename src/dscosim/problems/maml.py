@@ -55,13 +55,6 @@ class MlpRegressor:
         b3 = x[o : o + 1]
         return W1, b1, W2, b2, W3, b3
 
-    def predict(self, x, inputs):
-        W1, b1, W2, b2, W3, b3 = self._unpack(x)
-        X = inputs[:, None]
-        h1 = np.maximum(X @ W1.T + b1, 0.0)
-        h2 = np.maximum(h1 @ W2.T + b2, 0.0)
-        return (h2 @ W3.T + b3)[:, 0]
-
     def loss_grad(self, x, inputs, targets):
         """MSE and its gradient w.r.t. the flat parameter vector."""
         W1, b1, W2, b2, W3, b3 = self._unpack(x)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle
+from .base import NormalityData, ProblemOracle, agent_matvec
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class QuadraticProblem(ProblemOracle):
 
     # -- closed forms -------------------------------------------------------
 
-    def true_g(self, i, x):
-        return np.matmul(self.M[i], x[..., None])[..., 0]  # x: (d,) or (R, d)
+    def true_g(self, X):
+        return agent_matvec(self.M, X)  # X: (n, d) or replica-batched (n, R, d)
 
     def true_inner_jacobian_t(self, i, x):
         return self.M[i].T
@@ -83,8 +83,10 @@ class QuadraticProblem(ProblemOracle):
         return float(vals.mean())
 
     def optimum(self):
-        H, r = self._hess_and_shift()
-        return np.linalg.solve(H, -r)
+        if "xstar" not in self._cache:
+            H, r = self._hess_and_shift()
+            self._cache["xstar"] = np.linalg.solve(H, -r)
+        return self._cache["xstar"]
 
     @property
     def strong_convexity(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle
+from .base import ProblemOracle, agent_matvec
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class SigmoidQuadraticProblem(ProblemOracle):
         resid = Z - self.t + zeta
         return np.einsum("npd,np,np->nd", self.W, 1.0 - s**2, resid)
 
-    def true_g(self, i, x):
-        return np.tanh(self.W[i] @ x)
+    def true_g(self, X):
+        return np.tanh(agent_matvec(self.W, X))
 
     def true_grad_h(self, x):
         s = np.tanh(np.einsum("npd,d->np", self.W, x))

@@ -34,17 +34,14 @@ class TestAbStep:
         x0 = np.random.default_rng(2).normal(size=(3, 2))
         state = ab_dscsc_init(prob, x0, rng)
         # with zero noise: z = Mx, y = exact local gradients
-        for i in range(3):
-            np.testing.assert_allclose(state.z[i], prob.true_g(i, x0[i]))
+        np.testing.assert_allclose(state.z, prob.true_g(x0))
         alpha, beta = 0.05, 0.3
         nxt = ab_dscsc_step(state, prob, wp, alpha, beta, rng)
         x_exp = wp.A @ (x0 - alpha * state.y)
         np.testing.assert_allclose(nxt.x, x_exp)
-        for i in range(3):
-            g_new = prob.true_g(i, x_exp[i])
-            g_old = prob.true_g(i, x0[i])
-            z_exp = (1 - beta) * (state.z[i] + g_new - g_old) + beta * g_new
-            np.testing.assert_allclose(nxt.z[i], z_exp)
+        g_new, g_old = prob.true_g(x_exp), prob.true_g(x0)
+        z_exp = (1 - beta) * (state.z + g_new - g_old) + beta * g_new
+        np.testing.assert_allclose(nxt.z, z_exp)
         h_exp = np.stack(
             [prob.M[i].T @ (prob.Q[i] @ nxt.z[i] + prob.c[i]) for i in range(3)]
         )
@@ -95,7 +92,7 @@ class TestSingleAgentSteps:
         x, z, y = np.array([0.5, -1.0]), np.zeros(2), np.array([0.3, -0.2])
         nxt = scgd_step(self.state(x, z, y), prob, 0.1, 0.4, run_stream(0))
         np.testing.assert_allclose(nxt.x[0], x - 0.1 * y)
-        g = prob.true_g(0, nxt.x[0])
+        g = prob.true_g(nxt.x)[0]
         np.testing.assert_allclose(nxt.z[0], 0.6 * z + 0.4 * g)
         grad = prob.M[0].T @ (prob.Q[0] @ nxt.z[0] + prob.c[0])
         np.testing.assert_allclose(nxt.y[0], grad)
@@ -108,7 +105,7 @@ class TestSingleAgentSteps:
         nxt = scsc_step(self.state(x_prev, z, y), prob, 0.1, 0.4, run_stream(0))
         x = nxt.x[0]
         np.testing.assert_allclose(x, x_prev - 0.1 * y)
-        g_x, g_prev = prob.true_g(0, x), prob.true_g(0, x_prev)
+        g_x, g_prev = prob.true_g(nxt.x)[0], prob.true_g(x_prev[None])[0]
         np.testing.assert_allclose(nxt.z[0], 0.6 * (z + g_x - g_prev) + 0.4 * g_x)
 
 

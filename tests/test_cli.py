@@ -88,6 +88,10 @@ class TestConfigParsing:
             {"tasks_per_agent": 0},
             {"inner_dim": -1},
             {"fixed_inner_pool": -1},
+            {"agents": 2.5},
+            {"iterations": 1e3},
+            {"dim": 2.0},
+            {"agents": np.float64(3)},
         ]:
             with pytest.raises(ConfigurationError):
                 ExperimentConfig(bad)
@@ -97,6 +101,10 @@ class TestConfigParsing:
             ExperimentConfig({"agents": "2.5"})
         with pytest.raises(ConfigurationError, match="eta must be float, got 'abc'"):
             ExperimentConfig({"eta": "abc"})
+        with pytest.raises(ConfigurationError, match="agents must be int, got 2.5"):
+            ExperimentConfig({"agents": 2.5})
+        cfg = ExperimentConfig({"agents": np.int64(3), "dim": "4", "eta": 1})
+        assert (cfg["agents"], cfg["dim"], cfg["eta"]) == (3, 4, 1.0)
 
 
 class TestRunCommand:
@@ -260,6 +268,12 @@ threshold = 0.9
         cfg = write(tmp_path, self.CFG.replace("replications = 60", "replications = 10"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    def test_last_seed_beyond_uint64_exit_2(self, runner, tmp_path):
+        cfg = write(tmp_path, self.CFG + f"seeds = {2**64 - 1}:1\n")
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert "must lie in [0, 2**64)" in res.output
 
     def test_unsupported_family_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("problem = quadratic", "problem = sigmoid"))

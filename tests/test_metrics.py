@@ -43,9 +43,19 @@ class TestAverages:
     def test_tracking_error_exact_inner(self):
         prob = make_quadratic(2, 2, seed=0)
         x = np.random.default_rng(0).normal(size=(2, 2))
-        z = np.stack([prob.true_g(i, x[i]) for i in range(2)])
+        z = prob.true_g(x)
         assert tracking_error(z, x, prob) == 0.0
         assert tracking_error(z + 0.5, x, prob) == pytest.approx(2 * 2 * 0.25)
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (4, 1), (10, 5), (3, 9), (2, 130)])
+    def test_tracking_error_bytes_equal_per_agent_sum(self, n, d):
+        prob = make_quadratic(n, d, seed=d)
+        rng = np.random.default_rng(n)
+        x, z = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        total = 0.0
+        for i in range(n):
+            total += float(np.sum((z[i] - prob.M[i] @ x[i]) ** 2))
+        assert tracking_error(z, x, prob) == total
 
     def test_tracking_needs_capability(self):
         prob = make_sinusoid_maml(1, 2, 2, 0.01, seed=0)

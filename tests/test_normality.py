@@ -100,6 +100,17 @@ class TestCollectDelta:
         norms = [np.linalg.norm(x.stacked()) for x in s]
         assert 1e-4 < max(norms) < 1e3
 
+    @pytest.mark.parametrize("base_seed", [-1, 2**64 - 2, 2**64 - 1])
+    def test_last_seed_out_of_range_rejected(self, base_seed):
+        prob, wp = small_problem(), small_weights()
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 2\*\*64\)"):
+            collect_delta(3, prob, wp, good_schedule(), 5, 1, base_seed)
+
+    def test_last_seed_at_uint64_max_accepted(self):
+        prob, wp = small_problem(), small_weights()
+        samples = collect_delta(3, prob, wp, good_schedule(), 5, 1, 2**64 - 3)
+        assert samples[-1].seed == 2**64 - 1
+
     @pytest.mark.parametrize("replications,k", [(0, 10), (-1, 10), (2, 0), (2, -3)])
     def test_empty_study_rejected(self, replications, k):
         prob, wp = small_problem(), small_weights()
@@ -145,6 +156,30 @@ class TestReplicaBatching:
             assert draw.shape == (size[0], 3, size[1])
             for r, g in enumerate(serial):
                 assert draw[:, r].tobytes() == g.normal(size=size).tobytes()
+
+    @staticmethod
+    def assert_serial_sequence(seeds, sizes):
+        streams = ReplicaStreams(seeds)
+        serial = [run_stream(s) for s in seeds]
+        for size in sizes:
+            draw = streams.normal(size=size)
+            assert draw.shape == (size[0], len(serial), *size[1:]) and draw.flags.c_contiguous
+            for r, g in enumerate(serial):
+                assert draw[:, r].tobytes() == g.normal(size=size).tobytes()
+        return streams
+
+    def test_block_draws_across_refills_equal_serial_draws(self):
+        # 3 replicas hold blocks of 10922 values; these 39,000 values cross three refills,
+        # and the draws straddle the block ends
+        sizes = [(3, 2), (10, 5), (1,), (7, 13), (2, 1, 3)] * 250
+        streams = self.assert_serial_sequence([5, 9, 2], sizes)
+        assert sum(int(np.prod(s)) for s in sizes) > 3 * streams.block
+
+    def test_block_smaller_than_one_draw_equals_serial_draws(self):
+        # with 4000 replicas a block holds 8 values per replica, less than a (3, 5) draw
+        seeds = range(10**6, 10**6 + 4000)
+        streams = self.assert_serial_sequence(seeds, [(3, 5), (1, 1), (2, 2), (3, 5), (4,)])
+        assert streams.block < 15
 
     def test_tracker_conservation_per_replica(self):
         prob = make_quadratic(4, 3, seed=2, noise_inner=0.2, noise_outer=0.2)

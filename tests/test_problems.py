@@ -63,7 +63,7 @@ class TestOracleContract:
         else:
             noise = family.sigma_phi * ref.normal(size=new.shape)
             for X, out in ((X_new, new), (X_old, old)):
-                G = np.stack([family.true_g(i, X[i]) for i in range(family.n)])
+                G = family.true_g(X)
                 assert out.shape == G.shape
                 np.testing.assert_allclose(out - G, noise, rtol=0, atol=1e-13)
         G = family.sample_grad_all(X_new, new, np.random.default_rng(9))
@@ -82,6 +82,46 @@ class TestOracleContract:
         x = 0.3 * rng.normal(size=family.d)
         fd = finite_diff_grad(family.true_h, x)
         np.testing.assert_allclose(family.true_grad_h(x), fd, rtol=1e-5, atol=1e-7)
+
+
+def per_agent_true_g(prob, i, x):
+    """Agent i's closed-form inner value from its own product: the stacked form's reference."""
+    if isinstance(prob, LogisticProblem):
+        return -prob.b[i] * ((prob.a[i] + prob.phi_mean) @ x)
+    if hasattr(prob, "W"):
+        return np.tanh(prob.W[i] @ x)
+    return np.matmul(prob.M[i], x[..., None])[..., 0]  # x: (d,) or (R, d)
+
+
+STACKED_CASES = {
+    "quadratic": lambda: make_quadratic(5, 3, seed=4),
+    "quadratic-d1": lambda: make_quadratic(3, 1, seed=5),
+    "quadratic-d9": lambda: make_quadratic(2, 9, seed=6),
+    "logistic": lambda: make_logistic_cso(4, 7, 3, seed=2),
+    "logistic-pool": lambda: make_logistic_cso(4, 7, 3, seed=2, fixed_inner_pool=5),
+    "sigmoid": lambda: make_sigmoid_quadratic(4, 3, seed=3),
+    "sigmoid-p6": lambda: make_sigmoid_quadratic(3, 4, seed=1, p=6),
+}
+
+
+class TestStackedTrueG:
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_bytes_equal_per_agent_values(self, case):
+        prob = STACKED_CASES[case]()
+        rng = np.random.default_rng(11)
+        shape = (prob.n, prob.d)
+        for X in (rng.normal(size=shape), np.zeros(shape), -rng.random(shape)):
+            G = prob.true_g(X)
+            expected = np.stack([per_agent_true_g(prob, i, X[i]) for i in range(prob.n)])
+            assert G.shape == expected.shape and G.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n,R,d", [(1, 4, 3), (3, 50, 2), (10, 7, 5)])
+    def test_quadratic_replica_batched_bytes(self, n, R, d):
+        prob = make_quadratic(n, d, seed=n)
+        X = np.random.default_rng(R).normal(size=(n, R, d))
+        G = prob.true_g(X)
+        expected = np.stack([per_agent_true_g(prob, i, X[i]) for i in range(n)])
+        assert G.shape == (n, R, d) and G.tobytes() == expected.tobytes()
 
 
 class TestQuadratic:
@@ -112,7 +152,7 @@ class TestQuadratic:
         rng = np.random.default_rng(99)
         draws = 200_000
         # S1: covariance of the summed gradient noise with z fixed at g_i(x*)
-        z_star = [prob.true_g(i, xs) for i in range(prob.n)]
+        z_star = prob.true_g(np.tile(xs, (prob.n, 1)))
         s1_samp = np.empty((draws, 2))
         s2_samp = np.empty((draws, 2))
         zeta = rng.normal(size=(draws, prob.n, 2)) * prob.sigma_zeta
@@ -129,8 +169,7 @@ class TestQuadratic:
         rng = np.random.default_rng(0)
         X = np.tile(rng.normal(size=2), (prob.n, 1))
         G, _ = prob.sample_inner_pair_all(X, X, rng)
-        for i in range(prob.n):
-            np.testing.assert_allclose(G[i], prob.true_g(i, X[i]))
+        np.testing.assert_allclose(G, prob.true_g(X))
 
     def test_bad_conditioning_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -160,7 +199,7 @@ class TestLogistic:
         prob = make_logistic_cso(2, 5, 3, seed=2, fixed_inner_pool=4)
         x = np.random.default_rng(0).normal(size=3)
         expected = -prob.b[0] * ((prob.a[0] + prob.pool.mean(axis=0)) @ x)
-        np.testing.assert_allclose(prob.true_g(0, x), expected)
+        np.testing.assert_allclose(prob.true_g(np.tile(x, (2, 1)))[0], expected)
 
     def test_data_csv_shape(self):
         prob = make_logistic_cso(2, 3, 2, seed=0)
@@ -179,7 +218,7 @@ class TestLogistic:
         vals = -prob.b[0] * np.einsum("tmd,d->tm", prob.a[0] + phi[:, None, :], x)
         acc = vals.mean(axis=0)
         stderr = vals.std(axis=0, ddof=1) / np.sqrt(draws)
-        assert np.all(np.abs(acc - prob.true_g(0, x)) < 4 * stderr + 1e-12)
+        assert np.all(np.abs(acc - prob.true_g(x[None])[0]) < 4 * stderr + 1e-12)
 
 
 class TestSigmoid:
@@ -192,7 +231,7 @@ class TestSigmoid:
         rng = np.random.default_rng(2)
         x = rng.normal(size=4)
         X = np.tile(x, (prob.n, 1))
-        Z = np.stack([prob.true_g(i, x) for i in range(prob.n)])
+        Z = prob.true_g(X)
         grads = prob.sample_grad_all(X, Z, rng)
         np.testing.assert_allclose(grads.mean(axis=0), prob.true_grad_h(x), atol=1e-12)
 
