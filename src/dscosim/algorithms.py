@@ -97,9 +97,9 @@ def _check_finite(arr, k, what, rng=None):
     A replica-batched ``(n, R, d)`` array (``rng`` a ``ReplicaStreams``) names
     the first such replica's seed, and the agent its own serial run would name.
     """
-    arr = np.atleast_2d(np.asarray(arr))
-    if np.abs(arr).max() <= DIVERGENCE_LIMIT:  # False for NaN, so NaN falls through
+    if np.maximum.reduce(np.abs(arr), axis=None) <= DIVERGENCE_LIMIT:  # False for NaN
         return
+    arr = np.atleast_2d(np.asarray(arr))
     bad = ~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)
     seed = None
     if arr.ndim == 3:  # (n, R, d): keep the first replica with a bad entry

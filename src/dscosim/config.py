@@ -7,6 +7,7 @@ every output file header.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -91,6 +92,8 @@ class ExperimentConfig:
                 merged[k] = kind(v)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{k} must be {kind.__name__}, got {v!r}") from exc
+            if kind is float and not math.isfinite(merged[k]):  # NaN passes every range check
+                raise ConfigurationError(f"{k} must be finite, got {v!r}")
         self.values = merged
         self._validate()
 

@@ -14,18 +14,24 @@ def weighted_average(x, u):
     return (u @ x) / len(u)
 
 
-def consensus_error(x, u):
-    """sum_i ||x_i - xbar||^2 with xbar the u-weighted average."""
+# The row's sums and means call np.add.reduce directly: np.sum and np.mean run
+# the same pairwise reduce (np.mean then divides by the count), so the bits are
+# theirs, without their Python wrappers.
+
+
+def consensus_error(x, u, xbar=None):
+    """sum_i ||x_i - xbar||^2 with xbar the u-weighted average (pass it if known)."""
     x = np.atleast_2d(x)
-    xbar = weighted_average(x, u)
-    return float(np.sum((x - xbar) ** 2))
+    if xbar is None:
+        xbar = weighted_average(x, u)
+    return float(np.add.reduce((x - xbar) ** 2, axis=None))
 
 
 def tracking_error(z, x, problem):
     """sum_i ||z_i - g_i(x_i)||^2; needs a closed-form inner value."""
     if not problem.has_true_g:
         raise CapabilityError("tracking error needs true_g")
-    per_agent = np.sum((z - problem.true_g(np.atleast_2d(x))) ** 2, axis=1)
+    per_agent = np.add.reduce((z - problem.true_g(np.atleast_2d(x))) ** 2, axis=1)
     total = 0.0
     for v in per_agent.tolist():  # left to right in agent order; np.sum would add pairwise
         total += v
@@ -33,26 +39,29 @@ def tracking_error(z, x, problem):
 
 
 def collect_row(k, alpha_k, beta_k, x, z, problem, u):
-    """MetricRow for the current state; missing capabilities give None cells."""
+    """MetricRow for the current state; missing capabilities give None cells.
+
+    Calls ``true_h`` n + 1 times: once at x*, then at each agent in order.
+    """
     x = np.atleast_2d(x)
+    n = len(x)
+    xbar = weighted_average(x, u)
     row = {
         "k": k,
         "alpha_k": alpha_k,
         "beta_k": beta_k,
-        "consensus_err": consensus_error(x, u),
+        "consensus_err": consensus_error(x, u, xbar),
     }
     if problem.has_true_g:
         row["tracking_err"] = tracking_error(z, x, problem)
     if problem.has_true_grad:
-        xbar = weighted_average(x, u)
-        row["grad_norm_sq"] = float(np.sum(problem.true_grad_h(xbar) ** 2))
+        row["grad_norm_sq"] = float(np.add.reduce(problem.true_grad_h(xbar) ** 2))
     if problem.has_optimum:
         xstar = problem.optimum()
-        row["opt_gap_avg"] = float(np.mean(np.sum((x - xstar) ** 2, axis=1)))
+        row["opt_gap_avg"] = float(np.add.reduce(np.add.reduce((x - xstar) ** 2, axis=1)) / n)
         hstar = problem.true_h(xstar)
-        row["residual_avg"] = float(
-            np.mean([problem.true_h(xi) for xi in x]) - hstar
-        )
+        h = np.add.reduce(np.array([problem.true_h(xi) for xi in x]))
+        row["residual_avg"] = float(h / n - hstar)
     return MetricRow(**row)
 
 

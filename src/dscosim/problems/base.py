@@ -7,7 +7,9 @@ taking the stacked per-agent arrays and drawing for all n agents in one call:
 
 * ``sample_inner_pair_all(X_new, X_old, rng)`` evaluates G_i at both rows of
   each agent with one common inner sample per agent (required by the
-  stochastic correction) and returns two ``(n, p)`` arrays.
+  stochastic correction) and returns two ``(n, p)`` arrays.  Given one array
+  as both points (``X_old is X_new``) it evaluates once, with the same draws,
+  and returns that result as both outputs.
 * ``sample_grad_all(X, Z, rng)`` draws a fresh, independent (phi, zeta) pair
   per agent and returns the ``(n, d)`` stochastic gradients
   grad G_i(x_i; phi) grad F_i(z_i; zeta).

@@ -65,8 +65,9 @@ class LogisticProblem(ProblemOracle):
         phi = self._draw_phi(rng)
         shifted = self.a + phi[:, None, :]
         new = -self.b * np.einsum("nmd,nd->nm", shifted, X_new)
-        old = -self.b * np.einsum("nmd,nd->nm", shifted, X_old)
-        return new, old
+        if X_old is X_new:  # one point: one product serves both
+            return new, new
+        return new, -self.b * np.einsum("nmd,nd->nm", shifted, X_old)
 
     def sample_grad_all(self, X, Z, rng):
         phi = self._draw_phi(rng)
@@ -76,13 +77,20 @@ class LogisticProblem(ProblemOracle):
 
     # -- closed forms (mean inner map) --------------------------------------
 
+    def _mean_features(self):
+        # (n, m, d) rows a_j + phi_mean, the mean inner map before the label sign
+        if "a_mean" not in self._cache:
+            self._cache["a_mean"] = self.a + self.phi_mean
+        return self._cache["a_mean"]
+
     def true_g(self, X):
-        return -self.b * agent_matvec(self.a + self.phi_mean, X)
+        # the sign goes on after the product: J @ X could flip the sign of an exact zero
+        return -self.b * agent_matvec(self._mean_features(), X)
 
     def _mean_jacobians(self):
         # grad g_i as columns: (n, m, d) with row j = -b_j (phi_mean + a_j)
         if "J" not in self._cache:
-            self._cache["J"] = -self.b[:, :, None] * (self.a + self.phi_mean)
+            self._cache["J"] = -self.b[:, :, None] * self._mean_features()
         return self._cache["J"]
 
     def true_grad_h(self, x):
@@ -94,7 +102,7 @@ class LogisticProblem(ProblemOracle):
     def true_h(self, x):
         J = self._mean_jacobians()
         g = np.einsum("nmd,d->nm", J, x)
-        return float(np.logaddexp(0.0, g).mean())
+        return float(np.add.reduce(np.logaddexp(0.0, g), axis=None) / g.size)  # .mean() without its wrapper
 
     def optimum(self, tol=1e-12):
         """Minimizer of the deterministic mean objective (centralized solve).

@@ -120,12 +120,15 @@ class SinusoidMamlProblem(ProblemOracle):
     # minibatches before agent i + 1 draws any.
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
+        same = X_old is X_new  # one point: one adaptation step serves both
         new, old = [], []
         for i in range(self.n):
             batch = self._draw_batch(i, rng)
             new.append(X_new[i] - self.adapt_step * self._task_grad(X_new[i], batch))
-            old.append(X_old[i] - self.adapt_step * self._task_grad(X_old[i], batch))
-        return np.stack(new), np.stack(old)
+            if not same:
+                old.append(X_old[i] - self.adapt_step * self._task_grad(X_old[i], batch))
+        new = np.stack(new)
+        return (new, new) if same else (new, np.stack(old))
 
     def hvp(self, x, vec, batch):
         """Central finite-difference Hessian-vector product of the task loss."""

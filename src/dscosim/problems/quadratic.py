@@ -45,9 +45,10 @@ class QuadraticProblem(ProblemOracle):
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.d)) * self.sigma_phi
-        base_new = np.einsum("nij,n...j->n...i", self.M, X_new)
-        base_old = np.einsum("nij,n...j->n...i", self.M, X_old)
-        return base_new + phi, base_old + phi
+        new = np.einsum("nij,n...j->n...i", self.M, X_new) + phi
+        if X_old is X_new:  # one point: one product serves both
+            return new, new
+        return new, np.einsum("nij,n...j->n...i", self.M, X_old) + phi
 
     def sample_grad_all(self, X, Z, rng):
         c = self.c if Z.ndim == 2 else self.c[:, None]  # broadcast over replicas
@@ -80,7 +81,7 @@ class QuadraticProblem(ProblemOracle):
         vals = 0.5 * np.einsum("ni,nij,nj->n", g, self.Q, g) + np.einsum(
             "ni,ni->n", self.c, g
         )
-        return float(vals.mean())
+        return float(np.add.reduce(vals) / len(vals))  # vals.mean() without its wrapper
 
     def optimum(self):
         if "xstar" not in self._cache:

@@ -42,8 +42,9 @@ class SigmoidQuadraticProblem(ProblemOracle):
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.p)) * self.sigma_phi
         new = np.tanh(np.einsum("npd,nd->np", self.W, X_new)) + phi
-        old = np.tanh(np.einsum("npd,nd->np", self.W, X_old)) + phi
-        return new, old
+        if X_old is X_new:  # one point: one product serves both
+            return new, new
+        return new, np.tanh(np.einsum("npd,nd->np", self.W, X_old)) + phi
 
     def sample_grad_all(self, X, Z, rng):
         zeta = rng.normal(size=(self.n, self.p)) * self.sigma_zeta

@@ -105,6 +105,12 @@ def aggregate_mean_rows(records):
         agg = {"k": row.k, "alpha_k": row.alpha_k, "beta_k": row.beta_k}
         for col in CSV_COLUMNS[3:]:
             vals = [getattr(r.rows[idx], col) for r in records if idx < len(r.rows)]
-            agg[col] = None if any(v is None for v in vals) else sum(vals) / len(vals)
+            if any(v is None for v in vals):
+                agg[col] = None
+                continue
+            total = 0.0
+            for v in vals:  # left to right; sum() compensates rounding from Python 3.12 on
+                total += v
+            agg[col] = total / len(vals)
         out.append(MetricRow(**agg))
     return out

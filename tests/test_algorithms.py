@@ -3,6 +3,8 @@ import pytest
 
 from dscosim.algorithms import (
     NetworkState,
+    ReplicaStreams,
+    _check_finite,
     ab_dscsc_init,
     ab_dscsc_step,
     dscgd_step,
@@ -65,6 +67,24 @@ class TestAbStep:
             ab_dscsc_init(prob, x0, run_stream(0))
         assert str(err.value) == "initial iterate non-finite or beyond 1e+06 at k=1, agent 3"
         assert err.value.agent == 3 and err.value.k == 1
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 3, 2)])
+    def test_guard_boundary_values_pass(self, shape):
+        arr = np.full(shape, 1e-300)
+        arr[0, 0], arr[-1, -1] = 1e6, -0.0
+        _check_finite(arr, 5, "iterate", ReplicaStreams([11, 12, 13]))
+        _check_finite(-arr, 5, "iterate", ReplicaStreams([11, 12, 13]))
+
+    @pytest.mark.parametrize("bad", [np.nextafter(1e6, np.inf), -np.nextafter(1e6, np.inf), np.nan])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_guard_boundary_values_fail(self, bad, batched):
+        arr = np.full((4, 3, 2) if batched else (4, 3), 1e-300)
+        arr[2, 1] = bad  # agent 3; replica 2 (seed 12) when batched
+        with pytest.raises(DivergenceError) as err:
+            _check_finite(arr, 5, "iterate", ReplicaStreams([11, 12, 13]))
+        suffix = ", seed 12" if batched else ""
+        assert str(err.value) == f"iterate non-finite or beyond 1e+06 at k=5, agent 3{suffix}"
+        assert (err.value.k, err.value.agent, err.value.seed) == (5, 3, 12 if batched else None)
 
     @pytest.mark.parametrize("n,extra", [(3, 0), (5, 3), (10, 5)])
     def test_tracker_conservation(self, n, extra):

@@ -103,6 +103,9 @@ class TestConfigParsing:
             ExperimentConfig({"eta": "abc"})
         with pytest.raises(ConfigurationError, match="agents must be int, got 2.5"):
             ExperimentConfig({"agents": 2.5})
+        for value in (float("nan"), float("inf"), "-inf", np.nan):
+            with pytest.raises(ConfigurationError, match="noise_outer must be finite"):
+                ExperimentConfig({"noise_outer": value})
         cfg = ExperimentConfig({"agents": np.int64(3), "dim": "4", "eta": 1})
         assert (cfg["agents"], cfg["dim"], cfg["eta"]) == (3, 4, 1.0)
 
@@ -164,6 +167,17 @@ class TestRunCommand:
         assert res.exit_code == 2, res.output
         assert "must" in res.output and "duplicate" not in res.output
         assert not (out / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize("line", ["noise_inner = inf", "alpha_a = nan", "eta = -inf"])
+    def test_non_finite_float_exit_2(self, runner, tmp_path, line):
+        key = line.split("=")[0].strip()
+        base = [ln for ln in BASE.splitlines() if ln.split("=")[0].strip() != key]
+        cfg = write(tmp_path, "\n".join(base + [line]) + "\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["run", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"{key} must be finite" in res.output
+        assert not out.exists()
 
     def test_negative_seed_option_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["run", "--config", write(tmp_path, BASE), "--seed", "-1"])
@@ -274,6 +288,13 @@ threshold = 0.9
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
         assert res.exit_code == 2, res.output
         assert "must lie in [0, 2**64)" in res.output
+
+    def test_nan_threshold_exit_2(self, runner, tmp_path):
+        # a NaN threshold would compare False and pass every study
+        cfg = write(tmp_path, self.CFG.replace("threshold = 0.9", "threshold = nan"))
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert "threshold must be finite" in res.output
 
     def test_unsupported_family_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("problem = quadratic", "problem = sigmoid"))

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,13 +9,20 @@ from hypothesis import strategies as st
 from dscosim.errors import CapabilityError, ConfigurationError, InsufficientDataError
 from dscosim.metrics import (
     bounded_ratio_check,
+    collect_row,
     consensus_error,
     fit_rate_slope,
     geometric_sum_check,
     tracking_error,
     weighted_average,
 )
-from dscosim.problems import make_quadratic, make_sinusoid_maml
+from dscosim.problems import (
+    LogisticProblem,
+    make_logistic_cso,
+    make_quadratic,
+    make_sigmoid_quadratic,
+    make_sinusoid_maml,
+)
 from dscosim.records import (
     CSV_COLUMNS,
     MetricRow,
@@ -61,6 +69,77 @@ class TestAverages:
         prob = make_sinusoid_maml(1, 2, 2, 0.01, seed=0)
         with pytest.raises(CapabilityError):
             tracking_error(np.zeros((1, prob.d)), np.zeros((1, prob.d)), prob)
+
+
+def reference_row(k, alpha_k, beta_k, x, z, problem, u):
+    """The row written with np.mean, np.sum and weighted_average: collect_row's bit reference."""
+    x = np.atleast_2d(x)
+    row = {"k": k, "alpha_k": alpha_k, "beta_k": beta_k}
+    row["consensus_err"] = float(np.sum((x - weighted_average(x, u)) ** 2))
+    if problem.has_true_g:
+        total = 0.0
+        for v in np.sum((z - problem.true_g(x)) ** 2, axis=1).tolist():
+            total += v
+        row["tracking_err"] = total
+    if problem.has_true_grad:
+        row["grad_norm_sq"] = float(np.sum(problem.true_grad_h(weighted_average(x, u)) ** 2))
+    if problem.has_optimum:
+        xstar = problem.optimum()
+        row["opt_gap_avg"] = float(np.mean(np.sum((x - xstar) ** 2, axis=1)))
+        hstar = problem.true_h(xstar)
+        row["residual_avg"] = float(np.mean([problem.true_h(xi) for xi in x]) - hstar)
+    return MetricRow(**row)
+
+
+def reference_true_h(problem, x):
+    """true_h with ndarray.mean(), as the quadratic and logistic families wrote it."""
+    if isinstance(problem, LogisticProblem):
+        g = np.einsum("nmd,d->nm", problem._mean_jacobians(), x)
+        return float(np.logaddexp(0.0, g).mean())
+    g = np.einsum("nij,j->ni", problem.M, x)
+    vals = 0.5 * np.einsum("ni,nij,nj->n", g, problem.Q, g) + np.einsum("ni,ni->n", problem.c, g)
+    return float(vals.mean())
+
+
+def row_bits(row):
+    return [None if v is None else struct.pack("<d", v) for v in row.values()]
+
+
+ROW_CASES = {
+    **{f"quadratic-n{n}": (lambda n=n: make_quadratic(n, 4, seed=n)) for n in (1, 3, 10, 17)},
+    "logistic": lambda: make_logistic_cso(10, 20, 10, seed=0, feature_scale=4.0, label_noise=4.0),
+    "logistic-pool": lambda: make_logistic_cso(
+        6, 20, 5, seed=1, fixed_inner_pool=7, feature_scale=4.0, label_noise=4.0
+    ),
+    "sigmoid": lambda: make_sigmoid_quadratic(5, 4, seed=3, p=6),
+    "maml": lambda: make_sinusoid_maml(4, 5, 3, 0.01, seed=0),
+}
+
+
+class TestCollectRow:
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_bytes_equal_reference_formulas(self, case):
+        prob = ROW_CASES[case]()
+        rng = np.random.default_rng(3)
+        n = prob.n
+        u = rng.uniform(0.5, 1.5, size=n)
+        u *= n / u.sum()
+        p = prob.true_g(np.zeros((n, prob.d))).shape[1] if prob.has_true_g else prob.d
+        for scale in (1.0, 1e-3, 0.0):
+            x = scale * rng.normal(size=(n, prob.d))
+            z = rng.normal(size=(n, p))
+            row = collect_row(7, 0.1, 0.2, x, z, prob, u)
+            assert row_bits(row) == row_bits(reference_row(7, 0.1, 0.2, x, z, prob, u))
+        if case == "maml":
+            assert row.consensus_err is not None
+            assert (row.tracking_err, row.grad_norm_sq, row.opt_gap_avg, row.residual_avg) == (None,) * 4
+
+    @pytest.mark.parametrize("case", [c for c in sorted(ROW_CASES) if "quadratic" in c or "logistic" in c])
+    def test_true_h_bytes_equal_mean(self, case):
+        prob = ROW_CASES[case]()
+        rng = np.random.default_rng(5)
+        for x in (rng.normal(size=prob.d), np.zeros(prob.d), prob.optimum()):
+            assert struct.pack("<d", prob.true_h(x)) == struct.pack("<d", reference_true_h(prob, x))
 
 
 def synthetic_record(fn, ks):
@@ -236,3 +315,11 @@ class TestAggregate:
 
     def test_empty(self):
         assert aggregate_mean_rows([]) == []
+
+    def test_sums_left_to_right(self):
+        # Python 3.12's sum() compensates rounding; the aggregate adds plainly on every version
+        recs = [
+            RunRecord(config={}, seed=s, rows=[MetricRow(1, 0.1, 0.1, consensus_err=v)])
+            for s, v in enumerate([0.1, 0.2, 0.3])
+        ]
+        assert aggregate_mean_rows(recs)[0].consensus_err == ((0.1 + 0.2) + 0.3) / 3

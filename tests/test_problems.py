@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dscosim.algorithms import ReplicaStreams, run_stream
 from dscosim.errors import CapabilityError, ConfigurationError
 from dscosim.problems import (
     LogisticProblem,
@@ -122,6 +123,39 @@ class TestStackedTrueG:
         G = prob.true_g(X)
         expected = np.stack([per_agent_true_g(prob, i, X[i]) for i in range(n)])
         assert G.shape == (n, R, d) and G.tobytes() == expected.tobytes()
+
+
+SAME_POINT_CASES = {
+    "quadratic": lambda: make_quadratic(4, 3, seed=1, noise_inner=0.2),
+    "logistic": lambda: make_logistic_cso(3, 6, 4, seed=2),
+    "logistic-pool": lambda: make_logistic_cso(3, 6, 4, seed=2, fixed_inner_pool=5),
+    "sigmoid-p6": lambda: make_sigmoid_quadratic(3, 4, seed=1, p=6, noise_inner=0.2),
+    "maml": lambda: make_sinusoid_maml(3, 5, 3, 0.01, seed=0),
+}
+
+
+class TestSamePointInnerPair:
+    """One array passed as both points gives the bytes and draws of two equal arrays."""
+
+    @staticmethod
+    def check(prob, X, streams):
+        a_new, a_old = prob.sample_inner_pair_all(X, X, streams[0])
+        b_new, b_old = prob.sample_inner_pair_all(X, X.copy(), streams[1])
+        for a, b in ((a_new, b_new), (a_old, b_old)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        nxt = [s.normal(size=(prob.n, 3)) for s in streams]
+        assert nxt[0].tobytes() == nxt[1].tobytes()
+
+    @pytest.mark.parametrize("case", sorted(SAME_POINT_CASES))
+    def test_bytes_and_draws_equal(self, case):
+        prob = SAME_POINT_CASES[case]()
+        X = np.random.default_rng(4).normal(size=(prob.n, prob.d))
+        self.check(prob, X, [run_stream(9), run_stream(9)])
+
+    def test_quadratic_replica_batched(self):
+        prob = make_quadratic(3, 2, seed=2, noise_inner=0.3)
+        X = np.random.default_rng(1).normal(size=(3, 5, 2))
+        self.check(prob, X, [ReplicaStreams(range(5)), ReplicaStreams(range(5))])
 
 
 class TestQuadratic:
