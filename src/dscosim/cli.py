@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -55,39 +54,63 @@ def _exit_codes(command):
     return wrapper
 
 
-def _single_run(args):
+def _build_instance(cfg):
+    """The problem, weights and schedule that every seed of `cfg` shares, built
+    once; the optimum, where the family has one, is solved here and cached."""
+    problem = cfg.build_problem()
+    weights = None if cfg["algorithm"] in ("scgd", "scsc") else cfg.build_weights()
+    schedule = cfg.build_schedule()
+    if problem.has_optimum:
+        problem.optimum()
+    return problem, weights, schedule
+
+
+def _run_seed(shared, seed):
     """One seed of a seed list; a divergence is returned, not raised, so every seed runs."""
-    cfg_path, seed, out_dir = args
     try:
-        return _execute_run(load_config(cfg_path), seed, out_dir)
+        return _execute_run(*shared, seed)
     except DivergenceError as err:
         return err
 
 
-def _run_seeds(config_path, seeds, out_dir, jobs=1):
-    """Run every seed, serially or on `jobs` worker processes, and return their
-    (record, path) pairs; if any seed diverged, raise the first diverged seed's
-    error once all have run (each diverged seed has written its partial record)."""
-    tasks = [(config_path, s, out_dir) for s in seeds]
-    if jobs == 1:
-        results = [_single_run(task) for task in tasks]
+_worker_shared = None  # a pool worker's (cfg, out_dir, problem, weights, schedule)
+
+
+def _init_worker(shared):
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_run(seed):
+    return _run_seed(_worker_shared, seed)
+
+
+def _run_seeds(cfg, seeds, out_dir, jobs=1):
+    """Run every seed, serially or on up to `jobs` worker processes (never more
+    than there are seeds), and return their (record, path) pairs; if any seed
+    diverged, raise the first diverged seed's error once all have run (each
+    diverged seed has written its partial record)."""
+    shared = (cfg, out_dir, *_build_instance(cfg))
+    workers = min(jobs, len(seeds))
+    if workers == 1:
+        results = [_run_seed(shared, s) for s in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_single_run, tasks))
+        # the pool costs ~20 ms of import (multiprocessing, socket, ...); serial runs skip it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(shared,)
+        ) as pool:
+            results = list(pool.map(_worker_run, seeds))
     diverged = [r for r in results if isinstance(r, DivergenceError)]
     if diverged:
         raise diverged[0]
     return results
 
 
-def _execute_run(cfg, seed, out_dir):
+def _execute_run(cfg, out_dir, problem, weights, schedule, seed):
     """Run one seed and write its CSV; a diverged run writes its partial record."""
-    problem = cfg.build_problem()
     algorithm = cfg["algorithm"]
-    weights = None
-    if algorithm not in ("scgd", "scsc"):
-        weights = cfg.build_weights()
-    schedule = cfg.build_schedule()
     try:
         record = run(
             algorithm,
@@ -130,7 +153,7 @@ def cmd_run(config_path, seed, out_dir):
     cfg = load_config(config_path)
     seeds = [seed] if seed is not None else cfg.seed_list()
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    results = _run_seeds(config_path, seeds, out_dir)
+    results = _run_seeds(cfg, seeds, out_dir)
     for s, (record, path) in zip(seeds, results):
         click.echo(f"seed {s}: {record.status}, {len(record.rows)} rows -> {path}")
     agg_path = _write_aggregate(cfg, [record for record, _ in results], out_dir)
@@ -147,7 +170,7 @@ def cmd_sweep(config_path, jobs, out_dir):
     cfg = load_config(config_path)
     seeds = cfg.seed_list()
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    records = [record for record, _ in _run_seeds(config_path, seeds, out_dir, jobs)]
+    records = [record for record, _ in _run_seeds(cfg, seeds, out_dir, jobs)]
     agg_path = _write_aggregate(cfg, records, out_dir)
     click.echo(f"{len(records)} runs complete, aggregate -> {agg_path}")
 

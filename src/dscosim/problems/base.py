@@ -20,7 +20,9 @@ are immutable after construction and safe to share across concurrent runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +47,23 @@ class NormalityData:
     T: per-agent outer-Hessian matrices (p x p).
     S1: covariance of the summed gradient noise at (x*, g(x*)).
     S2: covariance of sum_j grad g_j(x*) T_j G_j(x*; phi_j).
+
+    S1 and S2 are computed on first read, by the ``s1``/``s2`` callables, and
+    kept: a reader of H alone (a stepsize from the curvature) never pays for them.
     """
 
     H: np.ndarray
     T: list
-    S1: np.ndarray
-    S2: np.ndarray
+    s1: Callable[[], np.ndarray] = field(repr=False)
+    s2: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def S1(self):
+        return self.s1()
+
+    @cached_property
+    def S2(self):
+        return self.s2()
 
 
 class ProblemOracle:

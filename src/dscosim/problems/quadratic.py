@@ -97,9 +97,13 @@ class QuadraticProblem(ProblemOracle):
 
     def normality_data(self):
         H, _ = self._hess_and_shift()
-        S1 = self.sigma_zeta**2 * np.einsum("nji,njk->ik", self.M, self.M)
-        S2 = self.sigma_phi**2 * np.einsum("nji,njk,nkl,nlm->im", self.M, self.Q, self.Q, self.M)
-        return NormalityData(H=H, T=[self.Q[i] for i in range(self.n)], S1=S1, S2=S2)
+        return NormalityData(
+            H=H,
+            T=[self.Q[i] for i in range(self.n)],
+            s1=lambda: self.sigma_zeta**2 * np.einsum("nji,njk->ik", self.M, self.M),
+            s2=lambda: self.sigma_phi**2
+            * np.einsum("nji,njk,nkl,nlm->im", self.M, self.Q, self.Q, self.M),
+        )
 
 
 def make_quadratic(n, d, seed, noise_inner=0.1, noise_outer=0.1, conditioning=10.0):
@@ -109,15 +113,19 @@ def make_quadratic(n, d, seed, noise_inner=0.1, noise_outer=0.1, conditioning=10
     if conditioning < 1:
         raise ConfigurationError(f"conditioning must be >= 1, got {conditioning}")
     rng = np.random.default_rng(seed)
-    M = np.empty((n, d, d))
-    Q = np.empty((n, d, d))
     c = rng.normal(size=(n, d))
+    # Draw per agent in the original order, then factor and multiply all agents at
+    # once: a stacked QR or product runs each agent through the kernel of its own
+    # call, and scaling columns is exactly the product with a diagonal matrix.
+    G = np.empty((3, n, d, d))  # Gaussian seeds of the two M factors and of Q's basis
+    spectra = np.empty((n, 1, d))
     for i in range(n):
-        u_m, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        v_m, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        M[i] = u_m @ np.diag(rng.uniform(0.6, 1.4, size=d)) @ v_m.T
-        u_q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        lam = np.linspace(1.0, conditioning, d)
-        Q[i] = u_q @ np.diag(lam) @ u_q.T
-        Q[i] = 0.5 * (Q[i] + Q[i].T)
+        G[0, i] = rng.normal(size=(d, d))
+        G[1, i] = rng.normal(size=(d, d))
+        spectra[i] = rng.uniform(0.6, 1.4, size=d)
+        G[2, i] = rng.normal(size=(d, d))
+    u_m, v_m, u_q = np.linalg.qr(G)[0]
+    M = (u_m * spectra) @ v_m.swapaxes(1, 2)
+    Q = (u_q * np.linspace(1.0, conditioning, d)) @ u_q.swapaxes(1, 2)
+    Q = 0.5 * (Q + Q.swapaxes(1, 2))
     return QuadraticProblem(M=M, Q=Q, c=c, sigma_phi=float(noise_inner), sigma_zeta=float(noise_outer))

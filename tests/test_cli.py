@@ -1,7 +1,16 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.optimize
 from click.testing import CliRunner
 
+import dscosim
+import dscosim.cli as cli
 from dscosim.cli import main
 from dscosim.config import ExperimentConfig, load_config, parse_config_text
 from dscosim.errors import ConfigurationError
@@ -213,7 +222,7 @@ class TestSweepCommand:
         r1 = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "1", "--out", str(out1)])
         r2 = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "2", "--out", str(out2)])
         assert r1.exit_code == 0 and r2.exit_code == 0
-        for name in ("run_ab-dscsc_seed0.csv", "run_ab-dscsc_seed1.csv"):
+        for name in ("run_ab-dscsc_seed0.csv", "run_ab-dscsc_seed1.csv", "aggregate.csv"):
             a = [l for l in (out1 / name).read_text().splitlines() if "wall_seconds" not in l]
             b = [l for l in (out2 / name).read_text().splitlines() if "wall_seconds" not in l]
             assert a == b
@@ -234,6 +243,124 @@ class TestSweepCommand:
         res = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "0", "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
         assert not (tmp_path / "x").exists()
+
+
+LOGISTIC = """
+problem = logistic
+agents = 5
+dim = 4
+samples_per_agent = 20
+label_noise = 0.3
+topology_extra = 3
+iterations = 30
+metric_stride = 10
+seeds = 0:3
+"""
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size and runs each task in
+    this process, after the initializer, as a single worker would."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for InProcessPool; returns the list of pool sizes made."""
+    sizes = []
+    monkeypatch.setattr(cli, "_worker_shared", None)  # restored after the test
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda **kwargs: InProcessPool(sizes, **kwargs),
+    )
+    return sizes
+
+
+class TestSeedsShareOneInstance:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("build_problem", "build_weights", "build_schedule"):
+            counted(ExperimentConfig, name)
+        counted(scipy.optimize, "linprog")
+        counted(scipy.optimize, "minimize")
+        return counts
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "2"]])
+    def test_one_build_and_one_solve_per_invocation(self, runner, tmp_path, counts, pool_sizes, command):
+        cfg = write(tmp_path, LOGISTIC)
+        res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        assert len(list((tmp_path / "o").glob("run_ab-dscsc_seed*.csv"))) == 3
+        assert counts == {
+            "build_problem": 1, "build_weights": 1, "build_schedule": 1, "linprog": 1, "minimize": 1,
+        }
+        assert pool_sizes == ([2] if command[0] == "sweep" else [])
+
+    @pytest.mark.parametrize("text", [BASE, LOGISTIC])
+    def test_csvs_equal_a_fresh_build_per_seed(self, runner, tmp_path, text):
+        cfg = write(tmp_path, text)
+        res = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        conf = load_config(cfg)
+        for seed in conf.seed_list():
+            record = cli.run(
+                conf["algorithm"], conf.build_problem(), conf.build_schedule(), conf["iterations"],
+                weights=conf.build_weights(), seed=seed, metric_stride=conf["metric_stride"],
+                eta=conf["eta"], gamma=conf["gamma"], config=conf.values,
+            )
+            text = (tmp_path / "o" / f"run_ab-dscsc_seed{seed}.csv").read_text()
+            fresh = cli.record_to_csv(record)
+            assert [l for l in text.splitlines() if "wall_seconds" not in l] == [
+                l for l in fresh.splitlines() if "wall_seconds" not in l
+            ]
+
+
+class TestSweepWorkers:
+    def test_pool_capped_at_seed_count(self, runner, tmp_path, pool_sizes):
+        cfg = write(tmp_path, BASE.replace("seeds = 0:2", "seeds = 0:4"))
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "64", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        assert pool_sizes == [4]
+
+    def test_one_seed_runs_serially(self, runner, tmp_path, pool_sizes):
+        cfg = write(tmp_path, BASE.replace("seeds = 0:2", "seeds = 7"))
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "4", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        assert pool_sizes == []
+        assert (tmp_path / "o" / "run_ab-dscsc_seed7.csv").exists()
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    code = "import sys, dscosim.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dscosim.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestValidateTopology:

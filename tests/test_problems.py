@@ -205,6 +205,40 @@ class TestQuadratic:
         G, _ = prob.sample_inner_pair_all(X, X, rng)
         np.testing.assert_allclose(G, prob.true_g(X))
 
+    @pytest.mark.parametrize("n,d", [(500, 5), (10, 5), (3, 2), (50, 9), (4, 1), (20, 16)])
+    @pytest.mark.parametrize("conditioning", [1.0, 10.0])
+    def test_stacked_build_bytes_equal_per_agent_loop(self, n, d, conditioning):
+        def per_agent(seed):  # the one-agent-at-a-time construction the stacked one replaced
+            rng = np.random.default_rng(seed)
+            M, Q = np.empty((n, d, d)), np.empty((n, d, d))
+            c = rng.normal(size=(n, d))
+            for i in range(n):
+                u_m, _ = np.linalg.qr(rng.normal(size=(d, d)))
+                v_m, _ = np.linalg.qr(rng.normal(size=(d, d)))
+                M[i] = u_m @ np.diag(rng.uniform(0.6, 1.4, size=d)) @ v_m.T
+                u_q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+                Q[i] = u_q @ np.diag(np.linspace(1.0, conditioning, d)) @ u_q.T
+                Q[i] = 0.5 * (Q[i] + Q[i].T)
+            return M, Q, c
+
+        for seed in range(3):
+            prob = make_quadratic(n, d, seed, conditioning=conditioning)
+            for got, want in zip((prob.M, prob.Q, prob.c), per_agent(seed)):
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+    def test_noise_covariances_on_first_read(self):
+        prob = make_quadratic(6, 4, seed=2, noise_inner=0.3, noise_outer=0.4)
+        nd = prob.normality_data()
+        assert "S1" not in vars(nd) and "S2" not in vars(nd)
+        H, _ = prob._hess_and_shift()
+        assert nd.H is H and len(nd.T) == prob.n
+        assert all(nd.T[i].tobytes() == prob.Q[i].tobytes() for i in range(prob.n))
+        S1 = prob.sigma_zeta**2 * np.einsum("nji,njk->ik", prob.M, prob.M)
+        S2 = prob.sigma_phi**2 * np.einsum("nji,njk,nkl,nlm->im", prob.M, prob.Q, prob.Q, prob.M)
+        assert nd.S1.tobytes() == S1.tobytes() and nd.S2.tobytes() == S2.tobytes()
+        assert nd.S1 is nd.S1 and nd.S2 is nd.S2
+
     def test_bad_conditioning_rejected(self):
         with pytest.raises(ConfigurationError):
             make_quadratic(2, 2, 0, conditioning=0.5)
