@@ -99,7 +99,6 @@ def _check_finite(arr, k, what, rng=None):
     """
     if np.maximum.reduce(np.abs(arr), axis=None) <= DIVERGENCE_LIMIT:  # False for NaN
         return
-    arr = np.atleast_2d(np.asarray(arr))
     bad = ~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)
     seed = None
     if arr.ndim == 3:  # (n, R, d): keep the first replica with a bad entry
@@ -216,7 +215,6 @@ def run(
     weights=None,
     seed=0,
     metric_stride=1,
-    x0=None,
     eta=0.03,
     gamma=3.0,
     config=None,
@@ -240,8 +238,7 @@ def run(
         raise ConfigurationError(f"{algorithm} needs a WeightPair")
 
     rng = run_stream(seed)
-    if x0 is None:
-        x0 = _default_x0(problem, rng)
+    x0 = _default_x0(problem, rng)
 
     if algorithm == "ab-dscsc":
         u = weights.u

@@ -66,11 +66,34 @@ def _build_instance(cfg):
 
 
 def _run_seed(shared, seed):
-    """One seed of a seed list; a divergence is returned, not raised, so every seed runs."""
+    """Run one seed of a seed list and write its CSV; return (record, path).
+
+    A diverged run writes its partial record, and its error is returned, not
+    raised, so every seed runs.
+    """
+    cfg, out_dir, problem, weights, schedule = shared
+    algorithm = cfg["algorithm"]
     try:
-        return _execute_run(*shared, seed)
+        record = run(
+            algorithm,
+            problem,
+            schedule,
+            cfg["iterations"],
+            weights=weights,
+            seed=seed,
+            metric_stride=cfg["metric_stride"],
+            eta=cfg["eta"],
+            gamma=cfg["gamma"],
+            config=cfg.values,
+        )
     except DivergenceError as err:
+        path = Path(out_dir) / f"run_{algorithm}_seed{seed}_partial.csv"
+        path.write_text(record_to_csv(err.record))
+        click.echo(f"partial record -> {path}", err=True)
         return err
+    path = Path(out_dir) / f"run_{algorithm}_seed{seed}.csv"
+    path.write_text(record_to_csv(record))
+    return record, path
 
 
 _worker_shared = None  # a pool worker's (cfg, out_dir, problem, weights, schedule)
@@ -106,32 +129,6 @@ def _run_seeds(cfg, seeds, out_dir, jobs=1):
     if diverged:
         raise diverged[0]
     return results
-
-
-def _execute_run(cfg, out_dir, problem, weights, schedule, seed):
-    """Run one seed and write its CSV; a diverged run writes its partial record."""
-    algorithm = cfg["algorithm"]
-    try:
-        record = run(
-            algorithm,
-            problem,
-            schedule,
-            cfg["iterations"],
-            weights=weights,
-            seed=seed,
-            metric_stride=cfg["metric_stride"],
-            eta=cfg["eta"],
-            gamma=cfg["gamma"],
-            config=cfg.values,
-        )
-    except DivergenceError as err:
-        path = Path(out_dir) / f"run_{algorithm}_seed{seed}_partial.csv"
-        path.write_text(record_to_csv(err.record))
-        click.echo(f"partial record -> {path}", err=True)
-        raise
-    path = Path(out_dir) / f"run_{algorithm}_seed{seed}.csv"
-    path.write_text(record_to_csv(record))
-    return record, path
 
 
 def _write_aggregate(cfg, records, out_dir):
@@ -209,6 +206,10 @@ def cmd_normality(config_path, out_dir):
     cfg = load_config(config_path)
     if cfg["problem"] != "quadratic":
         raise ConfigurationError("normality study supports the quadratic family only")
+    if cfg["algorithm"] != "ab-dscsc":
+        raise ConfigurationError(
+            f"normality study runs ab-dscsc only, got algorithm {cfg['algorithm']!r}"
+        )
     R = cfg["replications"]
     if R < 50:
         raise InsufficientDataError(f"replications must be >= 50, got {R}")

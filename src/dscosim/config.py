@@ -113,8 +113,9 @@ class ExperimentConfig:
         for key, low in _MINIMUMS.items():
             if v[key] < low:
                 raise ConfigurationError(f"{key} must be >= {low}, got {v[key]}")
-        if v["beta"] <= 0:
-            raise ConfigurationError("beta must be > 0")
+        for key in ("beta", "eta", "gamma"):
+            if v[key] <= 0:
+                raise ConfigurationError(f"{key} must be > 0, got {v[key]}")
         if v["beta_rule"] == "constant" and v["beta"] > 1:
             raise ConfigurationError("constant beta must be <= 1")
         self.seed_list()  # parses and validates

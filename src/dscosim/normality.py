@@ -114,8 +114,6 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
 
 def theoretical_covariance(problem):
     """Closed-form 2d x 2d limit covariance from (H, S1, S2)."""
-    if not problem.has_normality_data:
-        raise CapabilityError("problem exposes no normality data")
     nd = problem.normality_data()
     n = problem.n
     try:

@@ -104,7 +104,7 @@ class LogisticProblem(ProblemOracle):
         g = np.einsum("nmd,d->nm", J, x)
         return float(np.add.reduce(np.logaddexp(0.0, g), axis=None) / g.size)  # .mean() without its wrapper
 
-    def optimum(self, tol=1e-12):
+    def optimum(self):
         """Minimizer of the deterministic mean objective (centralized solve).
 
         Raises ``ConfigurationError`` when the data are linearly separable:
@@ -135,19 +135,10 @@ class LogisticProblem(ProblemOracle):
                 np.zeros(self.d),
                 jac=self.true_grad_h,
                 method="L-BFGS-B",
-                options={"gtol": tol, "ftol": 0.0, "maxiter": 50_000},
+                options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 50_000},
             )
             self._cache["xstar"] = res.x
         return self._cache["xstar"]
-
-    def data_csv(self):
-        """One row per sample: agent, label, features."""
-        lines = ["agent,label," + ",".join(f"x{t}" for t in range(self.d))]
-        for i in range(self.n):
-            for j in range(self.m):
-                feats = ",".join(repr(float(v)) for v in self.a[i, j])
-                lines.append(f"{i + 1},{int(self.b[i, j])},{feats}")
-        return "\n".join(lines) + "\n"
 
 
 def make_logistic_cso(

@@ -22,6 +22,8 @@ import numpy as np
 from ..errors import ConfigurationError
 from .base import ProblemOracle
 
+BATCH_SIZE = 10  # inputs per task minibatch
+
 
 @dataclass(frozen=True)
 class MlpRegressor:
@@ -89,7 +91,6 @@ class SinusoidMamlProblem(ProblemOracle):
     amplitude: np.ndarray  # (n, tasks)
     phase: np.ndarray  # (n, tasks)
     adapt_step: float
-    batch_size: int = 10
 
     @property
     def n(self):
@@ -108,7 +109,7 @@ class SinusoidMamlProblem(ProblemOracle):
 
     def _draw_batch(self, i, rng):
         m = int(rng.integers(0, self.tasks_per_agent))
-        inputs = rng.uniform(-5.0, 5.0, size=self.batch_size)
+        inputs = rng.uniform(-5.0, 5.0, size=BATCH_SIZE)
         targets = self.amplitude[i, m] * np.sin(inputs + self.phase[i, m])
         return inputs, targets
 
@@ -150,7 +151,7 @@ class SinusoidMamlProblem(ProblemOracle):
         return np.stack(grads)
 
 
-def make_sinusoid_maml(n, tasks_per_agent, hidden_width, adapt_step, seed, batch_size=10):
+def make_sinusoid_maml(n, tasks_per_agent, hidden_width, adapt_step, seed):
     if hidden_width < 1:
         raise ConfigurationError(f"hidden_width must be >= 1, got {hidden_width}")
     if adapt_step < 0:
@@ -163,5 +164,4 @@ def make_sinusoid_maml(n, tasks_per_agent, hidden_width, adapt_step, seed, batch
         amplitude=amplitude,
         phase=phase,
         adapt_step=float(adapt_step),
-        batch_size=batch_size,
     )

@@ -9,14 +9,14 @@ from ..errors import ConfigurationError
 INNER_PROXY_DRAWS = 1000
 
 
-def monte_carlo_grad_h(problem, x, draws, rng, inner_draws=INNER_PROXY_DRAWS):
+def monte_carlo_grad_h(problem, x, draws, rng):
     """Estimate grad h(x) through the stacked oracles, with every agent at x.
 
     Each of the `draws` outer samples is the agent mean of
     ``sample_grad_all(X, Z)``, where X stacks x once per agent and Z holds the
     agents' inner values at x: the closed form when the oracle has one,
-    otherwise the mean of `inner_draws` fresh stacked inner samples per outer
-    draw.
+    otherwise the mean of ``INNER_PROXY_DRAWS`` fresh stacked inner samples
+    per outer draw.
 
     Returns (mean, stderr) per coordinate.
     """
@@ -29,10 +29,10 @@ def monte_carlo_grad_h(problem, x, draws, rng, inner_draws=INNER_PROXY_DRAWS):
         if problem.has_true_g:
             return problem.true_g(X)
         acc = None
-        for _ in range(inner_draws):
+        for _ in range(INNER_PROXY_DRAWS):
             G, _ = problem.sample_inner_pair_all(X, X, rng)
             acc = G if acc is None else acc + G
-        return acc / inner_draws
+        return acc / INNER_PROXY_DRAWS
 
     samples = np.empty((draws, d))
     for t in range(draws):

@@ -72,29 +72,6 @@ class DirectedGraph:
             return set()
         return _search(inn, last, set())
 
-    def reversed(self):
-        return DirectedGraph(self.n, frozenset((i, j) for j, i in self.edges))
-
-    def to_edge_list(self):
-        """Serialize: first line n, then one 'j i' line per edge."""
-        lines = [str(self.n)]
-        lines += [f"{j} {i}" for j, i in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_edge_list(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ConfigurationError("empty edge-list")
-        n = int(lines[0])
-        edges = set()
-        for ln in lines[1:]:
-            j, i = (int(t) for t in ln.split())
-            if (j, i) in edges:
-                raise ConfigurationError(f"duplicate edge ({j}, {i})")
-            edges.add((j, i))
-        return cls(n, frozenset(edges))
-
 
 def _search(adjacency, r, seen):
     """Add to ``seen`` every node reachable from r in ``adjacency``; return ``seen``."""

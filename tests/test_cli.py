@@ -101,6 +101,11 @@ class TestConfigParsing:
             {"iterations": 1e3},
             {"dim": 2.0},
             {"agents": np.float64(3)},
+            {"beta": 0.0},
+            {"eta": 0.0},
+            {"eta": -0.5},
+            {"gamma": 0.0},
+            {"gamma": -2.0},
         ]:
             with pytest.raises(ConfigurationError):
                 ExperimentConfig(bad)
@@ -165,6 +170,9 @@ class TestRunCommand:
             "problem = maml\ntasks_per_agent = 0",
             "problem = sigmoid\ninner_dim = -1",
             "problem = logistic\nfixed_inner_pool = -1",
+            "algorithm = gt-dscgd\neta = -0.5",
+            "algorithm = gp-dscgd\ngamma = -2",
+            "eta = 0",
         ],
     )
     def test_bad_value_exit_2(self, runner, tmp_path, line):
@@ -427,6 +435,15 @@ threshold = 0.9
         cfg = write(tmp_path, self.CFG.replace("problem = quadratic", "problem = sigmoid"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("algorithm", ["scsc", "gt-dscgd"])
+    def test_other_algorithm_exit_2(self, runner, tmp_path, algorithm):
+        cfg = write(tmp_path, self.CFG + f"algorithm = {algorithm}\n")
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "ab-dscsc only" in res.output
+        assert not out.exists()
 
     def test_zero_k_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("normality_k = 1500", "normality_k = 0"))

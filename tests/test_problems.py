@@ -269,12 +269,6 @@ class TestLogistic:
         expected = -prob.b[0] * ((prob.a[0] + prob.pool.mean(axis=0)) @ x)
         np.testing.assert_allclose(prob.true_g(np.tile(x, (2, 1)))[0], expected)
 
-    def test_data_csv_shape(self):
-        prob = make_logistic_cso(2, 3, 2, seed=0)
-        lines = prob.data_csv().strip().splitlines()
-        assert len(lines) == 1 + 2 * 3
-        assert lines[0].startswith("agent,label,")
-
     def test_inner_mean_is_true_g(self):
         # E over phi of the sampled inner value equals the closed form
         prob = make_logistic_cso(1, 4, 3, seed=3)

@@ -85,15 +85,6 @@ class TestGenerateRing:
             generate_ring_plus_random(3, 4, 0)
 
 
-class TestEdgeListRoundTrip:
-    def test_round_trip(self):
-        g = generate_ring_plus_random(5, 3, seed=1)
-        assert DirectedGraph.from_edge_list(g.to_edge_list()) == g
-
-    def test_self_loops_not_listed(self):
-        assert "1 1" not in ring(3).to_edge_list()
-
-
 class TestAssumption2:
     def test_ring_strongly_connected(self):
         assert check_assumption2(ring(3), ring(3))
