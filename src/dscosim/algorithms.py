@@ -9,14 +9,17 @@ Implemented methods:
 * ``gp-dscgd`` / ``gt-dscgd`` — doubly stochastic baselines on the
   symmetrized graph, without/with gradient tracking.
 
-All randomness flows from one counter-based Philox stream per run, consumed
+All randomness flows from one counter-based Philox stream per seed, consumed
 in a fixed order (inner-correction draw, then gradient draw, agents batched),
 so a run is bitwise reproducible from (config, seed), and the single-agent
 AB recursion consumes draws in exactly the same order as ``scsc_step``.
 
-``ab_dscsc_init``/``ab_dscsc_step`` also advance R independent replications at
-once: the state arrays are then agent-first ``(n, R, d)`` and the stream is a
-``ReplicaStreams``, which keeps each replica's own stream and draw order.
+``run`` advances all of its seeds at once: the state arrays are agent-first
+``(n, R, d)``, one replica per seed, and the stream is a ``ReplicaStreams``,
+which keeps each replica's own stream and draw order.  Every per-agent product
+is taken replica by replica, so a seed's bits do not depend on the other seeds
+of its batch.  The step functions also take an ``(n, d)`` state with a plain
+Generator, as one replica without its axis.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ class ReplicaStreams:
 
     Each stream draws its standard normals in blocks into a joint ``(R, block)``
     buffer of about ``BUFFER_BYTES``, and each draw is sliced from it in stream
-    order. ``normal`` is the only draw offered, and a Philox ``normal(size=N)``
-    equals the same N values drawn in successive calls, so the bits are those
-    of per-draw calls.
+    order.  A Philox ``normal(size=N)`` equals the same N values drawn in
+    successive calls, so the bits are those of per-draw calls.  ``integers``
+    draws straight from the streams, so it is refused while buffered normals are
+    unread: those values came off the streams first.
     """
 
     BUFFER_BYTES = 256 * 1024
@@ -74,46 +78,51 @@ class ReplicaStreams:
             self._pos = 0
         draws = self._buf[:, self._pos : self._pos + count].reshape(len(self.seeds), *size)
         self._pos += count
-        return draws.swapaxes(0, 1).copy()  # (n, R, ...)
+        # (n, R, ...); at R=1 a view, which is safe: the buffer is never written in place
+        return np.ascontiguousarray(draws.swapaxes(0, 1))
+
+    def integers(self, low, high, size):
+        if self._pos < self._buf.shape[1]:
+            raise RuntimeError("integers drawn while buffered normals are unread")
+        return np.stack([g.integers(low, high, size=size) for g in self.streams], axis=1)
 
 
 @dataclass
 class NetworkState:
     """Stacked per-agent state at iteration k, shared by every method.
 
-    Replica-batched AB-DSCSC states hold ``(n, R, d)`` arrays instead of ``(n, d)``.
+    ``run`` holds ``(n, R, d)`` arrays, one replica per seed; a step driven by a
+    plain Generator holds ``(n, d)`` arrays.
     """
 
     k: int
-    x: np.ndarray  # (n, d)
-    z: np.ndarray  # (n, p) inner-value estimates
-    y: np.ndarray | None  # (n, d) gradient trackers; None without tracking (GP)
-    h_prev: np.ndarray | None  # (n, d) last stochastic gradients; None without tracking
+    x: np.ndarray  # (n, R, d)
+    z: np.ndarray  # (n, R, p) inner-value estimates
+    y: np.ndarray | None  # (n, R, d) gradient trackers; None without tracking (GP)
+    h_prev: np.ndarray | None  # (n, R, d) last stochastic gradients; None without tracking
 
 
-def _check_finite(arr, k, what, rng=None):
-    """Raise DivergenceError naming the first agent with a non-finite or runaway entry.
+def _check_finite(arr, k, what, rng):
+    """Raise DivergenceError naming the replica and agent of a non-finite or runaway entry.
 
-    A replica-batched ``(n, R, d)`` array (``rng`` a ``ReplicaStreams``) names
-    the first such replica's seed, and the agent its own serial run would name.
+    The replica is the first in seed order, named by its seed (``rng`` a
+    ``ReplicaStreams``), and the agent is the one its own one-seed run names.  An
+    ``(n, d)`` array is one replica; with a plain Generator no seed is named.
     """
     if np.maximum.reduce(np.abs(arr), axis=None) <= DIVERGENCE_LIMIT:  # False for NaN
         return
     bad = ~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)
-    seed = None
-    if arr.ndim == 3:  # (n, R, d): keep the first replica with a bad entry
-        r = int(np.argmax(bad.any(axis=(0, 2))))
-        bad, seed = bad[:, r], rng.seeds[r]
-    bad_agents = np.flatnonzero(bad.any(axis=1))
-    if bad_agents.size:
-        agent = int(bad_agents[0]) + 1
-        where = "" if seed is None else f", seed {seed}"
-        raise DivergenceError(
-            f"{what} non-finite or beyond {DIVERGENCE_LIMIT:g} at k={k}, agent {agent}{where}",
-            k=k,
-            agent=agent,
-            seed=seed,
-        )
+    bad = bad.reshape(len(arr), -1, arr.shape[-1])  # (n, R, d)
+    r = int(np.argmax(bad.any(axis=(0, 2))))
+    agent = int(np.argmax(bad[:, r].any(axis=1))) + 1
+    seed = rng.seeds[r] if isinstance(rng, ReplicaStreams) else None
+    where = "" if seed is None else f", seed {seed}"
+    raise DivergenceError(
+        f"{what} non-finite or beyond {DIVERGENCE_LIMIT:g} at k={k}, agent {agent}{where}",
+        k=k,
+        agent=agent,
+        seed=seed,
+    )
 
 
 def _corrected_z(z, g_new, g_old, beta):
@@ -135,10 +144,17 @@ def ab_dscsc_init(problem, x0, rng, track=True):
 
 
 def _mix(W, x):
-    """W @ x over the agent axis; replica-batched ``(n, R, d)`` x is one ``(n, R*d)`` product."""
-    if x.ndim == 2:
-        return W @ x
-    return (W @ x.reshape(len(x), -1)).reshape(x.shape)
+    """W @ x over the agent axis, one ``(n, d)`` product per replica.
+
+    An ``(n, R, d)`` x is multiplied as R stacked products, each with the bits
+    of its own ``W @ x[:, r]``; one flat ``(n, R*d)`` product would sum in
+    another order at some n.  They are written into an agent-first array, like
+    every other state array: left replica-major, the result slowed the oracles'
+    einsums.  An ``(n, d)`` x is the single product.
+    """
+    out = np.empty(x.shape)
+    np.matmul(W, x.swapaxes(0, -2), out=out.swapaxes(0, -2))
+    return out
 
 
 def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng):
@@ -164,7 +180,7 @@ def scsc_step(state, problem, alpha_k, beta_k, rng):
     two implementations.
     """
     x_new = state.x - alpha_k * state.y
-    _check_finite(x_new, state.k + 1, "iterate")
+    _check_finite(x_new, state.k + 1, "iterate", rng)
     g_new, g_old = problem.sample_inner_pair_all(x_new, state.x, rng)
     z_new = _corrected_z(state.z, g_new, g_old, beta_k)
     h_new = problem.sample_grad_all(x_new, z_new, rng)
@@ -174,7 +190,7 @@ def scsc_step(state, problem, alpha_k, beta_k, rng):
 def scgd_step(state, problem, alpha_k, beta_k, rng):
     """Single-agent two-timescale baseline: descend along y, average z plainly, redraw y."""
     x_new = state.x - alpha_k * state.y
-    _check_finite(x_new, state.k + 1, "iterate")
+    _check_finite(x_new, state.k + 1, "iterate", rng)
     g_new, _ = problem.sample_inner_pair_all(x_new, x_new, rng)
     z_new = _corrected_z(state.z, g_new, g_new, beta_k)  # no correction term
     h_new = problem.sample_grad_all(x_new, z_new, rng)
@@ -189,22 +205,24 @@ def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track):
     z_new = _corrected_z(state.z, g_inner, g_inner, gamma * beta_k)  # no correction term
     g = problem.sample_grad_all(state.x, z_new, rng)
     if track:
-        y_new = W @ state.y + g - state.h_prev
+        y_new = _mix(W, state.y) + g - state.h_prev
         direction = y_new
     else:
         y_new = None
         direction = g
-    x_tilde = W @ state.x - eta * direction
+    x_tilde = _mix(W, state.x) - eta * direction
     x_new = state.x + beta_k * (x_tilde - state.x)
-    _check_finite(x_new, state.k + 1, "iterate")
+    _check_finite(x_new, state.k + 1, "iterate", rng)
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=y_new, h_prev=g if track else None)
 
 
 def _default_x0(problem, rng):
+    """(n, R, d) start: each replica's ``init_params`` row, drawn from its own stream, or zeros."""
+    shape = (problem.n, len(rng.seeds), problem.d)
     if hasattr(problem, "init_params"):
-        row = problem.init_params(rng)
-        return np.tile(row, (problem.n, 1))
-    return np.zeros((problem.n, problem.d))
+        rows = np.stack([problem.init_params(g) for g in rng.streams])  # (R, d)
+        return np.broadcast_to(rows, shape).copy()
+    return np.zeros(shape)
 
 
 def run(
@@ -218,11 +236,18 @@ def run(
     eta=0.03,
     gamma=3.0,
     config=None,
+    seeds=None,
 ):
     """Execute K synchronous rounds; returns a RunRecord with metric rows.
 
     Metrics are recorded at k=1 and then every `metric_stride` rounds.  On
     divergence the partial record is attached to the raised error.
+
+    Given a list of ``seeds`` instead of one ``seed``, the seeds advance as one
+    replica-batched state and the result is a list in seed order: each seed's
+    RunRecord, or, for a seed that diverged, its DivergenceError with the
+    partial record attached, not raised.  Each seed's rows have the bits of its
+    one-seed run.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
@@ -230,6 +255,9 @@ def run(
         raise ConfigurationError(f"K must be >= 1, got {K}")
     if metric_stride < 1:
         raise ConfigurationError(f"metric_stride must be >= 1, got {metric_stride}")
+    batch = [seed] if seeds is None else list(seeds)
+    if not batch:
+        raise ConfigurationError("seeds must hold at least one seed")
     single_agent = algorithm in ("scgd", "scsc")
     dscgd = algorithm in ("gp-dscgd", "gt-dscgd")
     if single_agent and problem.n != 1:
@@ -237,13 +265,10 @@ def run(
     if not single_agent and weights is None:
         raise ConfigurationError(f"{algorithm} needs a WeightPair")
 
-    rng = run_stream(seed)
-    x0 = _default_x0(problem, rng)
-
     if algorithm == "ab-dscsc":
         u = weights.u
 
-        def step(state, k):
+        def step(state, k, rng):
             return ab_dscsc_step(state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng)
 
     elif dscgd:
@@ -251,36 +276,54 @@ def run(
         W = underlying_metropolis(weights.graph_A)
         track = algorithm == "gt-dscgd"
 
-        def step(state, k):
+        def step(state, k, rng):
             return dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track)
 
     else:
         u = np.ones(1)
         single_step = scsc_step if algorithm == "scsc" else scgd_step
 
-        def step(state, k):
+        def step(state, k, rng):
             return single_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
 
-    record = RunRecord(config=dict(config or {}), seed=seed)
-    start = time.perf_counter()
-
-    def note(state, k):
+    def note(state, k, records):
         alpha_k = eta if dscgd else schedule.alpha(k)
-        record.rows.append(
-            collect_row(state.k, alpha_k, schedule.beta_of(k), state.x, state.z, problem, u)
-        )
+        beta_k = schedule.beta_of(k)
+        for r, record in enumerate(records):
+            # contiguous copies, as a one-seed state is: u @ x sums a strided x in another order
+            x, z = (np.ascontiguousarray(a[:, r]) for a in (state.x, state.z))
+            record.rows.append(collect_row(state.k, alpha_k, beta_k, x, z, problem, u))
 
-    try:
-        state = ab_dscsc_init(problem, x0, rng, track=algorithm != "gp-dscgd")
-        note(state, 1)
-        for k in range(1, K + 1):
-            state = step(state, k)
-            if k % metric_stride == 0:
-                note(state, k)
-    except DivergenceError as err:
-        record.status = f"diverged@{err.k}"
-        record.wall_seconds = time.perf_counter() - start
-        err.record = record
-        raise
-    record.wall_seconds = time.perf_counter() - start
-    return record
+    results = [None] * len(batch)
+    pending = list(range(len(batch)))  # positions in `batch` still to run
+    start = time.perf_counter()
+    while pending:
+        rng = ReplicaStreams([batch[i] for i in pending])
+        records = [RunRecord(config=dict(config or {}), seed=s) for s in rng.seeds]
+        try:
+            x0 = _default_x0(problem, rng)
+            state = ab_dscsc_init(problem, x0, rng, track=algorithm != "gp-dscgd")
+            note(state, 1, records)
+            for k in range(1, K + 1):
+                state = step(state, k, rng)
+                if k % metric_stride == 0:
+                    note(state, k, records)
+        except DivergenceError as err:
+            # the diverged seed keeps its rows so far; the others start again from k=1,
+            # which repeats their bits, since a replica's bits do not depend on its batch
+            r = rng.seeds.index(err.seed)
+            records[r].status = f"diverged@{err.k}"
+            err.record = records[r]
+            results[pending.pop(r)] = err
+        else:
+            for i, record in zip(pending, records):
+                results[i] = record
+            pending = []
+    share = (time.perf_counter() - start) / len(batch)
+    for result in results:
+        (result.record if isinstance(result, DivergenceError) else result).wall_seconds = share
+    if seeds is not None:
+        return results
+    if isinstance(results[0], DivergenceError):
+        raise results[0]
+    return results[0]

@@ -65,35 +65,38 @@ def _build_instance(cfg):
     return problem, weights, schedule
 
 
-def _run_seed(shared, seed):
-    """Run one seed of a seed list and write its CSV; return (record, path).
+def _run_batch(shared, seeds):
+    """Run a batch of seeds as one replica-batched run and write each seed's CSV.
 
-    A diverged run writes its partial record, and its error is returned, not
-    raised, so every seed runs.
+    Returns one (record, path) per seed, in order; a diverged seed writes its
+    partial record, and its error is returned, not raised, so every seed runs.
     """
     cfg, out_dir, problem, weights, schedule = shared
     algorithm = cfg["algorithm"]
-    try:
-        record = run(
-            algorithm,
-            problem,
-            schedule,
-            cfg["iterations"],
-            weights=weights,
-            seed=seed,
-            metric_stride=cfg["metric_stride"],
-            eta=cfg["eta"],
-            gamma=cfg["gamma"],
-            config=cfg.values,
-        )
-    except DivergenceError as err:
-        path = Path(out_dir) / f"run_{algorithm}_seed{seed}_partial.csv"
-        path.write_text(record_to_csv(err.record))
-        click.echo(f"partial record -> {path}", err=True)
-        return err
-    path = Path(out_dir) / f"run_{algorithm}_seed{seed}.csv"
-    path.write_text(record_to_csv(record))
-    return record, path
+    results = run(
+        algorithm,
+        problem,
+        schedule,
+        cfg["iterations"],
+        weights=weights,
+        seeds=seeds,
+        metric_stride=cfg["metric_stride"],
+        eta=cfg["eta"],
+        gamma=cfg["gamma"],
+        config=cfg.values,
+    )
+    out = []
+    for seed, result in zip(seeds, results):
+        if isinstance(result, DivergenceError):
+            path = Path(out_dir) / f"run_{algorithm}_seed{seed}_partial.csv"
+            path.write_text(record_to_csv(result.record))
+            click.echo(f"partial record -> {path}", err=True)
+            out.append(result)
+        else:
+            path = Path(out_dir) / f"run_{algorithm}_seed{seed}.csv"
+            path.write_text(record_to_csv(result))
+            out.append((result, path))
+    return out
 
 
 _worker_shared = None  # a pool worker's (cfg, out_dir, problem, weights, schedule)
@@ -104,27 +107,32 @@ def _init_worker(shared):
     _worker_shared = shared
 
 
-def _worker_run(seed):
-    return _run_seed(_worker_shared, seed)
+def _worker_run(seeds):
+    return _run_batch(_worker_shared, seeds)
 
 
 def _run_seeds(cfg, seeds, out_dir, jobs=1):
-    """Run every seed, serially or on up to `jobs` worker processes (never more
-    than there are seeds), and return their (record, path) pairs; if any seed
-    diverged, raise the first diverged seed's error once all have run (each
-    diverged seed has written its partial record)."""
+    """Run every seed and return their (record, path) pairs in seed order; if any
+    seed diverged, raise the first diverged seed's error once all have run (each
+    diverged seed has written its partial record).
+
+    With ``jobs`` > 1 the seed list is cut into up to `jobs` contiguous batches
+    (never more than there are seeds), one per worker process.
+    """
     shared = (cfg, out_dir, *_build_instance(cfg))
     workers = min(jobs, len(seeds))
     if workers == 1:
-        results = [_run_seed(shared, s) for s in seeds]
+        results = _run_batch(shared, seeds)
     else:
         # the pool costs ~20 ms of import (multiprocessing, socket, ...); serial runs skip it
         from concurrent.futures import ProcessPoolExecutor
 
+        bounds = [len(seeds) * w // workers for w in range(workers + 1)]
+        batches = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(shared,)
         ) as pool:
-            results = list(pool.map(_worker_run, seeds))
+            results = [r for batch in pool.map(_worker_run, batches) for r in batch]
     diverged = [r for r in results if isinstance(r, DivergenceError)]
     if diverged:
         raise diverged[0]
@@ -213,9 +221,7 @@ def cmd_normality(config_path, out_dir):
     R = cfg["replications"]
     if R < 50:
         raise InsufficientDataError(f"replications must be >= 50, got {R}")
-    problem = cfg.build_problem()
-    weights = cfg.build_weights()
-    schedule = cfg.build_schedule()
+    problem, weights, schedule = _build_instance(cfg)
     base_seed = cfg.seed_list()[0]
     samples = collect_delta(
         R, problem, weights, schedule, cfg["normality_k"], cfg["agent"], base_seed

@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"seeds must be one or more integers in [0, 2**64), got {spec!r}"
             )
+        if len(set(seeds)) < len(seeds):  # a repeat would overwrite its CSV and count twice
+            raise ConfigurationError(f"seeds must be distinct, got {spec!r}")
         return seeds
 
     def build_problem(self):

@@ -20,7 +20,7 @@ class DivergenceError(Exception):
         super().__init__(message)
         self.k = k
         self.agent = agent
-        self.seed = seed  # set for a replica-batched state
+        self.seed = seed  # the diverged run's seed; None for a step driven by a plain Generator
 
 
 class NumericalError(Exception):

@@ -16,6 +16,8 @@ taking the stacked per-agent arrays and drawing for all n agents in one call:
 
 All randomness comes from the caller-supplied numpy Generator, so oracles
 are immutable after construction and safe to share across concurrent runs.
+Given a ``ReplicaStreams`` instead, the arrays are replica-batched
+``(n, R, d)``/``(n, R, p)`` and each replica draws from its own stream.
 """
 
 from __future__ import annotations
@@ -29,14 +31,19 @@ import numpy as np
 from ..errors import CapabilityError
 
 
+def per_agent(a, X):
+    """View of the per-agent array ``a`` ``(n, ...)`` that broadcasts agent by agent
+    against X ``(n, ..., *a.shape[1:])``, with or without a replica axis."""
+    return a.reshape(a.shape[:1] + (1,) * (X.ndim - a.ndim) + a.shape[1:])
+
+
 def agent_matvec(M, X):
     """Per-agent products ``M[i] @ X[i, ..., :]`` for M ``(n, a, b)`` and X ``(n, ..., b)``.
 
     One stacked ``matmul``, which applies the same kernel to each agent (and
     replica) as ``M[i] @ x`` does, so every row has the bits of its own product.
     """
-    M = M.reshape(M.shape[:1] + (1,) * (X.ndim - 2) + M.shape[1:])
-    return np.matmul(M, X[..., None])[..., 0]
+    return np.matmul(per_agent(M, X[..., None]), X[..., None])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle, agent_matvec
+from .base import ProblemOracle, agent_matvec, per_agent
 
 
 def _sigmoid(z):
@@ -54,26 +54,27 @@ class LogisticProblem(ProblemOracle):
 
     # -- sampling -----------------------------------------------------------
 
-    def _draw_phi(self, rng):
-        """One inner sample per agent, (n, d)."""
+    def _shifted_features(self, rng):
+        """Rows a_j + phi of each agent's one inner sample phi, (n, m, d) or (n, R, m, d)."""
         if self.pool is not None:
-            idx = rng.integers(0, self.pool.shape[0], size=self.n)
-            return self.pool[idx]
-        return rng.normal(size=(self.n, self.d))
+            phi = self.pool[rng.integers(0, self.pool.shape[0], size=self.n)]
+        else:
+            phi = rng.normal(size=(self.n, self.d))
+        phi = phi[..., None, :]
+        return per_agent(self.a, phi) + phi
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
-        phi = self._draw_phi(rng)
-        shifted = self.a + phi[:, None, :]
-        new = -self.b * np.einsum("nmd,nd->nm", shifted, X_new)
+        shifted = self._shifted_features(rng)
+        b = per_agent(self.b, shifted[..., 0])
+        new = -b * np.einsum("n...md,n...d->n...m", shifted, X_new)
         if X_old is X_new:  # one point: one product serves both
             return new, new
-        return new, -self.b * np.einsum("nmd,nd->nm", shifted, X_old)
+        return new, -b * np.einsum("n...md,n...d->n...m", shifted, X_old)
 
     def sample_grad_all(self, X, Z, rng):
-        phi = self._draw_phi(rng)
+        shifted = self._shifted_features(rng)
         w = _sigmoid(Z) / self.m  # outer gradient, deterministic
-        shifted = self.a + phi[:, None, :]
-        return -np.einsum("nm,nmd,nm->nd", self.b, shifted, w)
+        return -np.einsum("n...m,n...md,n...m->n...d", self.b, shifted, w)
 
     # -- closed forms (mean inner map) --------------------------------------
 

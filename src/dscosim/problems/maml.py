@@ -118,10 +118,19 @@ class SinusoidMamlProblem(ProblemOracle):
         return grad
 
     # The sampling primitives loop over agents in order: agent i draws all of its
-    # minibatches before agent i + 1 draws any.
+    # minibatches before agent i + 1 draws any.  Given a ReplicaStreams, they run
+    # that loop replica by replica, each on its own stream.
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         same = X_old is X_new  # one point: one adaptation step serves both
+        if isinstance(rng, np.random.Generator):
+            return self._inner_pair(X_new, X_old, rng, same)
+        pairs = [
+            self._inner_pair(X_new[:, r], X_old[:, r], g, same) for r, g in enumerate(rng.streams)
+        ]
+        return tuple(np.stack(p, axis=1) for p in zip(*pairs))
+
+    def _inner_pair(self, X_new, X_old, rng, same):
         new, old = [], []
         for i in range(self.n):
             batch = self._draw_batch(i, rng)
@@ -140,6 +149,12 @@ class SinusoidMamlProblem(ProblemOracle):
         return (gp - gm) / (2.0 * eps)
 
     def sample_grad_all(self, X, Z, rng):
+        if isinstance(rng, np.random.Generator):
+            return self._grad(X, Z, rng)
+        grads = [self._grad(X[:, r], Z[:, r], g) for r, g in enumerate(rng.streams)]
+        return np.stack(grads, axis=1)
+
+    def _grad(self, X, Z, rng):
         grads = []
         for i in range(self.n):
             inner_batch = self._draw_batch(i, rng)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle, agent_matvec
+from .base import NormalityData, ProblemOracle, agent_matvec, per_agent
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class QuadraticProblem(ProblemOracle):
 
     # -- sampling -----------------------------------------------------------
 
-    # The _all oracles also take replica-batched (n, R, d) states, with rng a
-    # ReplicaStreams whose draws carry the same replica axis.
-
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.d)) * self.sigma_phi
         new = np.einsum("nij,n...j->n...i", self.M, X_new) + phi
@@ -51,8 +48,7 @@ class QuadraticProblem(ProblemOracle):
         return new, np.einsum("nij,n...j->n...i", self.M, X_old) + phi
 
     def sample_grad_all(self, X, Z, rng):
-        c = self.c if Z.ndim == 2 else self.c[:, None]  # broadcast over replicas
-        zeta = c + rng.normal(size=(self.n, self.d)) * self.sigma_zeta
+        zeta = per_agent(self.c, Z) + rng.normal(size=(self.n, self.d)) * self.sigma_zeta
         inner = np.einsum("nij,n...j->n...i", self.Q, Z) + zeta
         return np.einsum("nji,n...j->n...i", self.M, inner)
 

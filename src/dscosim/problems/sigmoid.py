@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle, agent_matvec
+from .base import ProblemOracle, agent_matvec, per_agent
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,16 @@ class SigmoidQuadraticProblem(ProblemOracle):
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.p)) * self.sigma_phi
-        new = np.tanh(np.einsum("npd,nd->np", self.W, X_new)) + phi
+        new = np.tanh(np.einsum("npd,n...d->n...p", self.W, X_new)) + phi
         if X_old is X_new:  # one point: one product serves both
             return new, new
-        return new, np.tanh(np.einsum("npd,nd->np", self.W, X_old)) + phi
+        return new, np.tanh(np.einsum("npd,n...d->n...p", self.W, X_old)) + phi
 
     def sample_grad_all(self, X, Z, rng):
         zeta = rng.normal(size=(self.n, self.p)) * self.sigma_zeta
-        s = np.tanh(np.einsum("npd,nd->np", self.W, X))
-        resid = Z - self.t + zeta
-        return np.einsum("npd,np,np->nd", self.W, 1.0 - s**2, resid)
+        s = np.tanh(np.einsum("npd,n...d->n...p", self.W, X))
+        resid = Z - per_agent(self.t, Z) + zeta
+        return np.einsum("npd,n...p,n...p->n...d", self.W, 1.0 - s**2, resid)
 
     def true_g(self, X):
         return np.tanh(agent_matvec(self.W, X))

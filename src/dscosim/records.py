@@ -4,6 +4,10 @@ The CSV contract: '#'-prefixed header lines echoing the configuration, then
 the column header row, then one row per recorded iteration.  Values are
 printed with 17 significant digits so a parsed file reproduces the rows
 exactly; missing capabilities are empty cells, never zeros.
+
+``wall_seconds`` is the record's share of the ``run`` call that produced it:
+the call's wall time divided by its number of seeds, so a one-seed run
+reports its own time, and the seeds of a batch add up to the batch's time.
 """
 
 from __future__ import annotations

@@ -132,10 +132,7 @@ def strongly_convex_run():
     b = 2.0 * a * L
     sched = StepSchedule(Polynomial(a, b, 1.0), beta=(1 + b) / a)
     start = time.perf_counter()
-    records = [
-        run("ab-dscsc", prob, sched, 100_000, weights=wp, seed=s, metric_stride=100)
-        for s in range(20)
-    ]
+    records = run("ab-dscsc", prob, sched, 100_000, weights=wp, seeds=range(20), metric_stride=100)
     elapsed = time.perf_counter() - start
     agg = RunRecord(config={}, seed=-1, rows=aggregate_mean_rows(records))
     return agg, sched, elapsed
@@ -179,12 +176,9 @@ def test_nonconvex_rate_halves_with_quadrupled_horizon():
     start = time.perf_counter()
 
     def mean_grad_norm(K):
-        vals = []
-        for s in range(20):
-            sched = StepSchedule(ConstantSqrtK(1.0, K), beta=1.0)
-            rec = run("ab-dscsc", prob, sched, K, weights=wp, seed=s)
-            vals.append(np.mean([r.grad_norm_sq for r in rec.rows[:K]]))
-        return float(np.mean(vals))
+        sched = StepSchedule(ConstantSqrtK(1.0, K), beta=1.0)
+        records = run("ab-dscsc", prob, sched, K, weights=wp, seeds=range(20))
+        return float(np.mean([np.mean([r.grad_norm_sq for r in rec.rows[:K]]) for rec in records]))
 
     m_short = mean_grad_norm(2_000)
     m_long = mean_grad_norm(8_000)

@@ -14,9 +14,21 @@ from dscosim.algorithms import (
     scsc_step,
 )
 from dscosim.errors import ConfigurationError, DivergenceError
-from dscosim.problems import make_quadratic, make_sigmoid_quadratic
+from dscosim.metrics import collect_row
+from dscosim.problems import (
+    make_logistic_cso,
+    make_quadratic,
+    make_sigmoid_quadratic,
+    make_sinusoid_maml,
+)
+from dscosim.records import RunRecord, record_to_csv
 from dscosim.schedules import Polynomial, StepSchedule
-from dscosim.topology import DirectedGraph, build_weight_pair, generate_ring_plus_random
+from dscosim.topology import (
+    DirectedGraph,
+    build_weight_pair,
+    generate_ring_plus_random,
+    underlying_metropolis,
+)
 
 
 def ring_weights(n, extra=0, seed=0):
@@ -80,8 +92,9 @@ class TestAbStep:
     def test_guard_boundary_values_fail(self, bad, batched):
         arr = np.full((4, 3, 2) if batched else (4, 3), 1e-300)
         arr[2, 1] = bad  # agent 3; replica 2 (seed 12) when batched
+        rng = ReplicaStreams([11, 12, 13]) if batched else run_stream(0)  # (n, d): one Generator
         with pytest.raises(DivergenceError) as err:
-            _check_finite(arr, 5, "iterate", ReplicaStreams([11, 12, 13]))
+            _check_finite(arr, 5, "iterate", rng)
         suffix = ", seed 12" if batched else ""
         assert str(err.value) == f"iterate non-finite or beyond 1e+06 at k=5, agent 3{suffix}"
         assert (err.value.k, err.value.agent, err.value.seed) == (5, 3, 12 if batched else None)
@@ -219,6 +232,7 @@ class TestRunDriver:
             run("ab-dscsc", prob, sched(a=50.0), 500, weights=wp, seed=0)
         err = exc.value
         assert err.k is not None and err.agent is not None
+        assert err.seed == 0 and str(err).endswith(", seed 0")
         assert err.record.status.startswith("diverged@")
         assert len(err.record.rows) >= 1
 
@@ -241,3 +255,99 @@ class TestRunDriver:
         wp = ring_weights(4, 2, 1)
         rec = run("ab-dscsc", prob, sched(0.2, 0.0, 0.5), 2000, weights=wp, seed=0, metric_stride=100)
         assert rec.rows[-1].grad_norm_sq < 0.1 * rec.rows[0].grad_norm_sq
+
+
+def serial_run(algorithm, problem, schedule, K, wp, seed, stride, eta=0.03, gamma=3.0):
+    """One seed on an (n, d) state with a plain Generator: the seed-at-a-time loop
+    that ``run`` replaced, kept as the reference for its bits.  Returns the record
+    and the DivergenceError, if any."""
+    rng = run_stream(seed)
+    if hasattr(problem, "init_params"):
+        x0 = np.tile(problem.init_params(rng), (problem.n, 1))
+    else:
+        x0 = np.zeros((problem.n, problem.d))
+    W = underlying_metropolis(wp.graph_A)
+    dscgd = algorithm.endswith("dscgd")
+    u = wp.u if algorithm == "ab-dscsc" else np.ones(problem.n)
+    steps = {
+        "ab-dscsc": lambda st, k: ab_dscsc_step(st, problem, wp, schedule.alpha(k), schedule.beta_of(k), rng),
+        "gp-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, False),
+        "gt-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, True),
+        "scsc": lambda st, k: scsc_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
+        "scgd": lambda st, k: scgd_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
+    }
+    record = RunRecord(config={}, seed=seed)
+
+    def note(st, k):
+        alpha_k = eta if dscgd else schedule.alpha(k)
+        record.rows.append(collect_row(st.k, alpha_k, schedule.beta_of(k), st.x, st.z, problem, u))
+
+    try:
+        state = ab_dscsc_init(problem, x0, rng, track=algorithm != "gp-dscgd")
+        note(state, 1)
+        for k in range(1, K + 1):
+            state = steps[algorithm](state, k)
+            if k % stride == 0:
+                note(state, k)
+    except DivergenceError as err:
+        record.status = f"diverged@{err.k}"
+        return record, err
+    return record, None
+
+
+def csv_lines(record):
+    return [ln for ln in record_to_csv(record).splitlines() if "wall_seconds" not in ln]
+
+
+BATCH_FAMILIES = {
+    "quadratic": lambda n: make_quadratic(n, 3, seed=1, noise_inner=0.2, noise_outer=0.2),
+    "quadratic-d5": lambda n: make_quadratic(n, 5, seed=2, noise_inner=0.2, noise_outer=0.2),
+    "logistic": lambda n: make_logistic_cso(n, 20, 3, seed=2),
+    "logistic-pool": lambda n: make_logistic_cso(n, 12, 4, seed=3, fixed_inner_pool=5, label_noise=2.0),
+    "sigmoid": lambda n: make_sigmoid_quadratic(n, 3, seed=3, p=2),
+    "maml": lambda n: make_sinusoid_maml(n, 20, 2, 0.01, seed=4),
+}
+
+
+class TestSeedBatches:
+    """``run`` over a seed list gives each seed the CSV bytes of its own serial run."""
+
+    @staticmethod
+    def check(problem, schedule, K, seeds):
+        n = problem.n
+        g = generate_ring_plus_random(n, n // 2, 0) if n > 1 else DirectedGraph(1)
+        wp = build_weight_pair(g, g)
+        algorithms = ["ab-dscsc", "gp-dscgd", "gt-dscgd"] + (["scsc", "scgd"] if n == 1 else [])
+        diverged = set()
+        for algorithm in algorithms:
+            results = run(algorithm, problem, schedule, K, weights=wp, seeds=seeds, metric_stride=3)
+            for seed, result in zip(seeds, results):
+                expected, err = serial_run(algorithm, problem, schedule, K, wp, seed, 3)
+                if err is None:
+                    assert csv_lines(result) == csv_lines(expected)
+                    continue
+                diverged.add(seed)
+                assert csv_lines(result.record) == csv_lines(expected)
+                assert str(result) == f"{err}, seed {seed}"
+                assert (result.k, result.agent, result.seed) == (err.k, err.agent, seed)
+        return diverged
+
+    @pytest.mark.parametrize("n", [1, 10, 60, 100])
+    @pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
+    def test_each_seed_equals_its_serial_run(self, family, n):
+        schedule = StepSchedule(Polynomial(0.02 if family == "maml" else 0.1, 1.0, 0.6), beta=1.0)
+        self.check(BATCH_FAMILIES[family](n), schedule, 9, [5, 6])
+
+    def test_diverged_seeds_keep_their_serial_partial_records(self):
+        schedule = StepSchedule(Polynomial(0.3, 1.0, 0.3), beta=1.0)
+        problem = make_sinusoid_maml(10, 20, 4, 0.01, seed=4)
+        assert self.check(problem, schedule, 20, [5, 6, 7, 8, 9]) == {5, 8, 9}
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            run("ab-dscsc", make_quadratic(3, 2, seed=5), sched(), 5, weights=ring_weights(3), seeds=[])
+
+    def test_wall_seconds_share_the_batch_time(self):
+        prob = make_quadratic(3, 2, seed=5)
+        records = run("ab-dscsc", prob, sched(), 50, weights=ring_weights(3), seeds=[1, 2, 3, 4])
+        assert len({r.wall_seconds for r in records}) == 1 and records[0].wall_seconds > 0

@@ -173,6 +173,7 @@ class TestRunCommand:
             "algorithm = gt-dscgd\neta = -0.5",
             "algorithm = gp-dscgd\ngamma = -2",
             "eta = 0",
+            "seeds = 3,3,4",
         ],
     )
     def test_bad_value_exit_2(self, runner, tmp_path, line):
@@ -221,6 +222,38 @@ class TestRunCommand:
             # drop the wall-clock header line before comparing
             texts.append("\n".join(l for l in text.splitlines() if "wall_seconds" not in l))
         assert texts[0] == texts[1]
+
+
+# of seeds 1 .. 5, seeds 2, 3 and 5 diverge, at k = 15, 16 and 13; seeds 1 and 4 complete
+SOME_DIVERGE = BASE.replace("alpha_a = 0.05", "alpha_a = 1.2").replace("seeds = 0:2", "seeds = 1:5")
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "2"]])
+def test_some_seeds_diverge_each_writes_its_one_seed_csv(runner, tmp_path, command):
+    cfg = write(tmp_path, SOME_DIVERGE)
+    out = tmp_path / "o"
+    res = runner.invoke(main, [*command, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 3
+    # the first diverged seed in seed order, not the first to diverge (seed 5, at k=13)
+    error = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+    assert error == ["error: gradient tracker non-finite or beyond 1e+06 at k=15, agent 2, seed 2"]
+    conf = load_config(cfg)
+    written = set()
+    for seed in conf.seed_list():
+        try:
+            record, name = cli.run(
+                conf["algorithm"], conf.build_problem(), conf.build_schedule(), conf["iterations"],
+                weights=conf.build_weights(), seed=seed, metric_stride=conf["metric_stride"],
+                config=conf.values,
+            ), f"run_ab-dscsc_seed{seed}.csv"
+        except cli.DivergenceError as err:
+            record, name = err.record, f"run_ab-dscsc_seed{seed}_partial.csv"
+        text = (out / name).read_text()
+        assert [l for l in text.splitlines() if "wall_seconds" not in l] == [
+            l for l in cli.record_to_csv(record).splitlines() if "wall_seconds" not in l
+        ]
+        written.add(name)
+    assert {p.name for p in out.iterdir()} == written
 
 
 class TestSweepCommand:

@@ -137,10 +137,13 @@ def serial_delta(seed, prob, wp, schedule, k, agent):
 
 
 class TestReplicaBatching:
-    @pytest.mark.parametrize("n,d,R", [(1, 3, 4), (3, 2, 7), (10, 5, 3)])
+    @pytest.mark.parametrize("n,d,R", [(1, 3, 4), (3, 2, 7), (10, 5, 3), (60, 3, 20), (100, 5, 20)])
     def test_batched_equals_serial_bitwise(self, n, d, R):
         prob = make_quadratic(n, d, seed=n, noise_inner=0.2, noise_outer=0.2)
-        wp = small_weights(n)
+        # half of the non-ring edges: a ring's rows hold two nonzero terms, which sum
+        # alike in any order, and would hide a mix that sums in another order
+        g = generate_ring_plus_random(n, n * max(n - 2, 0) // 2, 0)
+        wp = build_weight_pair(g, g)
         sched = good_schedule()
         samples = collect_delta(R, prob, wp, sched, 60, n, base_seed=7)
         assert [s.seed for s in samples] == list(range(7, 7 + R))
@@ -180,6 +183,21 @@ class TestReplicaBatching:
         seeds = range(10**6, 10**6 + 4000)
         streams = self.assert_serial_sequence(seeds, [(3, 5), (1, 1), (2, 2), (3, 5), (4,)])
         assert streams.block < 15
+
+    def test_integers_are_each_seeds_own(self):
+        streams = ReplicaStreams([5, 9, 2])
+        serial = [run_stream(s) for s in (5, 9, 2)]
+        for high, size in [(7, (4,)), (3, (2, 5)), (1000, (1,))]:
+            draw = streams.integers(0, high, size=size)
+            assert draw.shape == (size[0], 3, *size[1:])
+            for r, g in enumerate(serial):
+                assert draw[:, r].tobytes() == g.integers(0, high, size=size).tobytes()
+
+    def test_integers_refused_while_normals_buffered(self):
+        streams = ReplicaStreams([5, 9])
+        streams.normal(size=(3, 2))  # fills a block, of which 6 values are read
+        with pytest.raises(RuntimeError, match="buffered normals"):
+            streams.integers(0, 7, size=(4,))
 
     def test_tracker_conservation_per_replica(self):
         prob = make_quadratic(4, 3, seed=2, noise_inner=0.2, noise_outer=0.2)
