@@ -1,4 +1,4 @@
-"""Synchronous-round step functions and the run driver.
+"""Synchronous-round step functions, the round loop and the run driver.
 
 Implemented methods:
 
@@ -225,6 +225,30 @@ def _default_x0(problem, rng):
     return np.zeros(shape)
 
 
+def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
+    """Yield the state at k=1, then the state after each of K rounds.
+
+    The one round loop: every replica of ``rng`` starts from ``_default_x0``, and
+    round k takes ``algorithm``'s step with the schedule's k-th values.  The caller
+    validates the arguments; a DivergenceError leaves the generator.
+    """
+    dscgd = algorithm in ("gp-dscgd", "gt-dscgd")
+    W = underlying_metropolis(weights.graph_A) if dscgd else None
+    track = algorithm != "gp-dscgd"  # the one method without a gradient tracker
+    state = ab_dscsc_init(problem, _default_x0(problem, rng), rng, track=track)
+    yield state
+    for k in range(1, K + 1):
+        if algorithm == "ab-dscsc":
+            state = ab_dscsc_step(state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng)
+        elif dscgd:
+            state = dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track)
+        elif algorithm == "scsc":
+            state = scsc_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
+        else:
+            state = scgd_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
+        yield state
+
+
 def run(
     algorithm,
     problem,
@@ -265,34 +289,7 @@ def run(
     if not single_agent and weights is None:
         raise ConfigurationError(f"{algorithm} needs a WeightPair")
 
-    if algorithm == "ab-dscsc":
-        u = weights.u
-
-        def step(state, k, rng):
-            return ab_dscsc_step(state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng)
-
-    elif dscgd:
-        u = np.ones(problem.n)
-        W = underlying_metropolis(weights.graph_A)
-        track = algorithm == "gt-dscgd"
-
-        def step(state, k, rng):
-            return dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track)
-
-    else:
-        u = np.ones(1)
-        single_step = scsc_step if algorithm == "scsc" else scgd_step
-
-        def step(state, k, rng):
-            return single_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
-
-    def note(state, k, records):
-        alpha_k = eta if dscgd else schedule.alpha(k)
-        beta_k = schedule.beta_of(k)
-        for r, record in enumerate(records):
-            # contiguous copies, as a one-seed state is: u @ x sums a strided x in another order
-            x, z = (np.ascontiguousarray(a[:, r]) for a in (state.x, state.z))
-            record.rows.append(collect_row(state.k, alpha_k, beta_k, x, z, problem, u))
+    u = weights.u if algorithm == "ab-dscsc" else np.ones(problem.n)  # n=1 when single-agent
 
     results = [None] * len(batch)
     pending = list(range(len(batch)))  # positions in `batch` still to run
@@ -301,13 +298,14 @@ def run(
         rng = ReplicaStreams([batch[i] for i in pending])
         records = [RunRecord(config=dict(config or {}), seed=s) for s in rng.seeds]
         try:
-            x0 = _default_x0(problem, rng)
-            state = ab_dscsc_init(problem, x0, rng, track=algorithm != "gp-dscgd")
-            note(state, 1, records)
-            for k in range(1, K + 1):
-                state = step(state, k, rng)
-                if k % metric_stride == 0:
-                    note(state, k, records)
+            for k, state in enumerate(rounds(algorithm, problem, schedule, K, weights, rng, eta, gamma)):
+                if k % metric_stride:
+                    continue
+                j = max(k, 1)  # the start's row (k=0) takes alpha_1 and beta_1
+                alpha_k, beta_k = (eta if dscgd else schedule.alpha(j)), schedule.beta_of(j)
+                for r, record in enumerate(records):
+                    x, z = state.x[:, r], state.z[:, r]
+                    record.rows.append(collect_row(state.k, alpha_k, beta_k, x, z, problem, u))
         except DivergenceError as err:
             # the diverged seed keeps its rows so far; the others start again from k=1,
             # which repeats their bits, since a replica's bits do not depend on its batch

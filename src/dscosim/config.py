@@ -113,7 +113,7 @@ class ExperimentConfig:
         for key, low in _MINIMUMS.items():
             if v[key] < low:
                 raise ConfigurationError(f"{key} must be >= {low}, got {v[key]}")
-        for key in ("beta", "eta", "gamma"):
+        for key in ("beta", "eta", "gamma", "threshold"):
             if v[key] <= 0:
                 raise ConfigurationError(f"{key} must be > 0, got {v[key]}")
         if v["beta_rule"] == "constant" and v["beta"] > 1:

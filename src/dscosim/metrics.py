@@ -40,8 +40,10 @@ def collect_row(k, alpha_k, beta_k, x, z, problem, u):
     """MetricRow for the current state; missing capabilities give None cells.
 
     Calls ``true_h`` n + 1 times: once at x*, then at each agent in order.
+    A strided x or z is copied first: ``u @ x`` sums a strided x in another order.
     """
-    x = np.atleast_2d(x)
+    x = np.ascontiguousarray(np.atleast_2d(x))
+    z = np.ascontiguousarray(z)
     n = len(x)
     xbar = weighted_average(x, u)
     row = {

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ReplicaStreams, ab_dscsc_init, ab_dscsc_step
+# ab_dscsc_init and ab_dscsc_step are unused here, but the benchmark's tracer patches
+# them by name on this module (ROADMAP item 7 replaces those patches)
+from .algorithms import ReplicaStreams, ab_dscsc_init, ab_dscsc_step, rounds  # noqa: F401
 from .errors import CapabilityError, ConfigurationError, InsufficientDataError, NumericalError
 from .problems.base import agent_matvec
 from .schedules import Polynomial
@@ -90,21 +92,15 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
     i0 = agent - 1
 
     seeds = range(base_seed, base_seed + replications)
-    rng = ReplicaStreams(seeds)
-    state = ab_dscsc_init(problem, np.zeros((problem.n, replications, problem.d)), rng)
     top = np.zeros((replications, problem.d))
     bottom = np.zeros((replications, problem.d))
-    for t in range(1, k + 1):
+    for state in rounds("ab-dscsc", problem, schedule, k - 1, weights, ReplicaStreams(seeds)):
         top += state.x[i0] - xstar
         gap = state.z - problem.true_g(state.x)  # (n, R, p)
         # one product for all agents, added agent by agent: a reduce over agents would
         # change the float order
         for contribution in agent_matvec(projs, gap):
             bottom += contribution
-        if t < k:
-            state = ab_dscsc_step(
-                state, problem, weights, schedule.alpha(t), schedule.beta_of(t), rng
-            )
     scale = 1.0 / np.sqrt(k)
     return [
         DeltaSample(top=scale * top[r], bottom=scale * bottom[r], agent_index=agent, k=k, seed=seed)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dscosim.algorithms import ab_dscsc_init, ab_dscsc_step, run, run_stream
+from dscosim.algorithms import ReplicaStreams, rounds, run
 from dscosim.metrics import bounded_ratio_check, fit_rate_slope
 from dscosim.normality import collect_delta, compare_covariance, theoretical_covariance
 from dscosim.problems import (
@@ -93,19 +93,12 @@ def test_tracking_conservation_three_families():
         "maml": make_sinusoid_maml(10, 10, 4, 0.01, seed=3),
     }
     wp = weights_for(10, 6, seed=5)
+    # alpha_k = 0.01 / k^0.6 and beta_k = min(1, 1 / k^0.6)
+    sched = StepSchedule(Polynomial(0.01, 0.0, 0.6), beta=1.0, beta_rule="polynomial", beta_exponent=0.6)
     worst_overall = 0.0
     for name, prob in families.items():
-        rng = run_stream(9)
-        if hasattr(prob, "init_params"):
-            x0 = np.tile(prob.init_params(rng), (prob.n, 1))
-        else:
-            x0 = np.zeros((prob.n, prob.d))
-        state = ab_dscsc_init(prob, x0, rng)
         worst = 0.0
-        for k in range(1, 501):
-            state = ab_dscsc_step(
-                state, prob, wp, 0.01 / k**0.6, min(1.0, 1.0 / k**0.6), rng
-            )
+        for state in rounds("ab-dscsc", prob, sched, 500, wp, ReplicaStreams([9])):
             diff = np.linalg.norm(state.y.sum(axis=0) - state.h_prev.sum(axis=0))
             denom = max(np.linalg.norm(state.h_prev.sum(axis=0)), 1e-30)
             worst = max(worst, diff / denom)

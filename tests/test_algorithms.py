@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from dscosim.algorithms import (
+    ALGORITHMS,
     NetworkState,
     ReplicaStreams,
     _check_finite,
     ab_dscsc_init,
     ab_dscsc_step,
     dscgd_step,
+    rounds,
     run,
     run_stream,
     scgd_step,
@@ -196,6 +198,16 @@ class TestRunDriver:
         r_ab = run("ab-dscsc", prob, s, 200, weights=wp, seed=3)
         r_sc = run("scsc", prob, s, 200, seed=3)
         assert r_ab.rows == r_sc.rows  # bitwise
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_rounds_yields_the_start_then_each_round(self, algorithm):
+        n = 1 if algorithm in ("scsc", "scgd") else 3
+        prob = make_quadratic(n, 2, seed=5, noise_inner=0.2, noise_outer=0.2)
+        wp = ring_weights(3) if n > 1 else build_weight_pair(DirectedGraph(1), DirectedGraph(1))
+        for K in (0, 1, 4):
+            states = list(rounds(algorithm, prob, sched(), K, wp, ReplicaStreams([3, 4])))
+            assert [s.k for s in states] == list(range(1, K + 2))
+            assert all(s.x.shape == (n, 2, 2) for s in states)
 
     def test_zero_noise_converges_to_optimum(self):
         prob = make_quadratic(3, 2, seed=5, noise_inner=0.0, noise_outer=0.0)

@@ -464,6 +464,16 @@ threshold = 0.9
         assert res.exit_code == 2, res.output
         assert "threshold must be finite" in res.output
 
+    @pytest.mark.parametrize("threshold", ["0", "-0.5"])
+    def test_threshold_at_or_below_zero_exit_2(self, runner, tmp_path, threshold):
+        # no covariance error is below such a threshold; fail before the study runs
+        cfg = write(tmp_path, self.CFG.replace("threshold = 0.9", f"threshold = {threshold}"))
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "threshold must be > 0" in res.output
+        assert not out.exists()
+
     def test_unsupported_family_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("problem = quadratic", "problem = sigmoid"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])

@@ -134,6 +134,21 @@ class TestCollectRow:
             assert row.consensus_err is not None
             assert (row.tracking_err, row.grad_norm_sq, row.opt_gap_avg, row.residual_avg) == (None,) * 4
 
+    def test_strided_replica_equals_its_contiguous_copy(self):
+        # one replica of an (n, R, d) state is a strided (n, d) view; at d=2 the
+        # product u @ x sums such a view in another order than its contiguous copy
+        prob = make_quadratic(10, 2, seed=0, noise_inner=0.1, noise_outer=0.1)
+        rng = np.random.default_rng(1)
+        u = rng.uniform(0.5, 1.5, size=10)
+        u *= 10 / u.sum()
+        X, Z = rng.normal(size=(10, 20, 2)), rng.normal(size=(10, 20, 2))
+        for r in range(20):
+            x, z = X[:, r], Z[:, r]
+            copy = (np.ascontiguousarray(x), np.ascontiguousarray(z))
+            assert row_bits(collect_row(7, 0.1, 0.2, x, z, prob, u)) == row_bits(
+                collect_row(7, 0.1, 0.2, *copy, prob, u)
+            )
+
     @pytest.mark.parametrize("case", [c for c in sorted(ROW_CASES) if "quadratic" in c or "logistic" in c])
     def test_true_h_bytes_equal_mean(self, case):
         prob = ROW_CASES[case]()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dscosim import algorithms
 from dscosim.algorithms import ReplicaStreams, ab_dscsc_init, ab_dscsc_step, run_stream
 from dscosim.errors import (
     CapabilityError,
@@ -150,6 +151,21 @@ class TestReplicaBatching:
         for s in samples:
             top, bottom = serial_delta(s.seed, prob, wp, sched, 60, n)
             assert s.top.tobytes() == top.tobytes() and s.bottom.tobytes() == bottom.tobytes()
+
+    def test_one_state_study_takes_no_round(self, monkeypatch):
+        prob = make_quadratic(3, 2, seed=3, noise_inner=0.2, noise_outer=0.2)
+        wp = small_weights(3)
+        sched = good_schedule()
+
+        def no_round(*args):
+            raise AssertionError("a k=1 study took a round")
+
+        monkeypatch.setattr(algorithms, "ab_dscsc_step", no_round)
+        samples = collect_delta(4, prob, wp, sched, 1, 2, base_seed=7)
+        for s in samples:
+            top, bottom = serial_delta(s.seed, prob, wp, sched, 1, 2)
+            assert s.top.tobytes() == top.tobytes() and s.bottom.tobytes() == bottom.tobytes()
+            assert s.top.tobytes() == (-prob.optimum()).tobytes()  # x_1 = 0, scale 1
 
     def test_stacked_draws_are_each_seeds_own(self):
         streams = ReplicaStreams([5, 9, 2])
