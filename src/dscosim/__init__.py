@@ -1,5 +1,14 @@
 """Distributed stochastic compositional optimization simulator."""
 
+import os
+
+# From n = 500 on, a BLAS product sums in an order that depends on its thread
+# count, so pin BLAS to one thread before numpy loads unless the caller chose a
+# count. A caller that imported numpy first keeps numpy's own count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .algorithms import (
     ab_dscsc_init,
     ab_dscsc_step,

@@ -73,8 +73,15 @@ class QuadraticProblem(ProblemOracle):
         return (H @ x + r) / self.n
 
     def true_h(self, x):
+        # The quadratic form runs on agent-last copies of Q and g: the einsum still
+        # sums each agent's d^2 products from zero in (i, j) order, so the bits are
+        # those of "ni,nij,nj->n", but its inner loop runs over the n agents, not d.
+        Q_last = self._cache.get("Q_last")
+        if Q_last is None:
+            Q_last = self._cache["Q_last"] = np.ascontiguousarray(self.Q.transpose(1, 2, 0))
         g = np.einsum("nij,j->ni", self.M, x)
-        vals = 0.5 * np.einsum("ni,nij,nj->n", g, self.Q, g) + np.einsum(
+        g_last = np.ascontiguousarray(g.T)
+        vals = 0.5 * np.einsum("in,ijn,jn->n", g_last, Q_last, g_last) + np.einsum(
             "ni,ni->n", self.c, g
         )
         return float(np.add.reduce(vals) / len(vals))  # vals.mean() without its wrapper

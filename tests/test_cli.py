@@ -404,6 +404,30 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert out.stdout.strip() == "False"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_bits_do_not_depend_on_blas_thread_variables(tmp_path):
+    # at n = 500 a multithreaded A @ x sums in another order than a one-thread one
+    cfg = write(tmp_path, "\n".join([
+        "problem = quadratic", "agents = 500", "dim = 5", "topology_extra = 500",
+        "alpha_a = 0.5", "alpha_b = 5.0", "alpha_exponent = 1.0", "beta = 1.0",
+        "iterations = 200", "metric_stride = 50", "seeds = 3", "",
+    ]))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = str(Path(dscosim.__file__).resolve().parents[1])
+    texts = []
+    for name, env in (("unset", base), ("one", {**base, **dict.fromkeys(BLAS_THREAD_VARS, "1")})):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "dscosim.cli", "run", "--config", cfg, "--out", str(out)],
+            capture_output=True, check=True, env=env,
+        )
+        text = (out / "run_ab-dscsc_seed3.csv").read_text()
+        texts.append([l for l in text.splitlines() if "wall_seconds" not in l])
+    assert texts[0] == texts[1]
+
+
 class TestValidateTopology:
     def test_ok_topology(self, runner, tmp_path):
         cfg = write(tmp_path, "agents = 3\n")

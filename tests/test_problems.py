@@ -227,6 +227,20 @@ class TestQuadratic:
                 assert got.flags.c_contiguous
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 60, 500])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+    def test_true_h_equals_agent_first_quadratic_form(self, n, d):
+        def reference(prob, x):  # the agent-first form that the agent-last one replaced
+            g = np.einsum("nij,j->ni", prob.M, x)
+            vals = 0.5 * np.einsum("ni,nij,nj->n", g, prob.Q, g) + np.einsum("ni,ni->n", prob.c, g)
+            return float(np.add.reduce(vals) / len(vals))
+
+        prob = make_quadratic(n, d, seed=n + d)
+        rng = np.random.default_rng(7)
+        # x = 0 is what the k=1 row evaluates
+        for x in (np.zeros(d), *(s * rng.normal(size=d) for s in (0.01, 1.0, 1.0, 100.0))):
+            assert prob.true_h(x) == reference(prob, x)
+
     def test_noise_covariances_on_first_read(self):
         prob = make_quadratic(6, 4, seed=2, noise_inner=0.3, noise_outer=0.4)
         nd = prob.normality_data()
