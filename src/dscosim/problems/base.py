@@ -9,13 +9,18 @@ taking the stacked per-agent arrays and drawing for all n agents in one call:
   each agent with one common inner sample per agent (required by the
   stochastic correction) and returns two ``(n, p)`` arrays.  Given one array
   as both points (``X_old is X_new``) it evaluates once, with the same draws,
-  and returns that result as both outputs.
+  and returns equal outputs.
 * ``sample_grad_all(X, Z, rng)`` draws a fresh, independent (phi, zeta) pair
   per agent and returns the ``(n, d)`` stochastic gradients
   grad G_i(x_i; phi) grad F_i(z_i; zeta).
 
-All randomness comes from the caller-supplied numpy Generator, so oracles
-are immutable after construction and safe to share across concurrent runs.
+All randomness comes from the caller-supplied numpy Generator, and every
+result depends only on the inputs, so oracles are safe to share across
+concurrent runs.  A family may keep one product between calls: ``kept_map``
+holds its noise-free inner map of the last point array it mapped, keyed by that
+array's identity, so the next round's old point (the array this round mapped
+as its new point) is not mapped again.  This holds because callers never write
+a point array in place after handing it to an oracle.
 Given a ``ReplicaStreams`` instead, the arrays are replica-batched
 ``(n, R, d)``/``(n, R, p)`` and each replica draws from its own stream.
 """
@@ -44,6 +49,22 @@ def agent_matvec(M, X):
     replica) as ``M[i] @ x`` does, so every row has the bits of its own product.
     """
     return np.matmul(per_agent(M, X[..., None]), X[..., None])[..., 0]
+
+
+def kept_map(cache, inner_map, X):
+    """``inner_map(X)``, kept in ``cache`` with X for the next call.
+
+    When X *is* the kept array, the kept image is returned: the same array the
+    same product gave for the same X, so a hit changes no bit.  The cache holds
+    X itself, so its id cannot be reused while the pair is kept, and the pair is
+    read and replaced as one tuple, so concurrent callers see a matching pair.
+    """
+    kept = cache.get("mapped")
+    if kept is not None and kept[0] is X:
+        return kept[1]
+    image = inner_map(X)
+    cache["mapped"] = (X, image)
+    return image
 
 
 @dataclass(frozen=True)

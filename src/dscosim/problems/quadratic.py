@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle, agent_matvec, per_agent
+from .base import NormalityData, ProblemOracle, agent_matvec, kept_map, per_agent
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,14 @@ class QuadraticProblem(ProblemOracle):
 
     # -- sampling -----------------------------------------------------------
 
+    def _inner_map(self, X):
+        return np.einsum("nij,n...j->n...i", self.M, X)
+
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.d)) * self.sigma_phi
-        new = np.einsum("nij,n...j->n...i", self.M, X_new) + phi
-        if X_old is X_new:  # one point: one product serves both
-            return new, new
-        return new, np.einsum("nij,n...j->n...i", self.M, X_old) + phi
+        # The old point first: it is the last round's new point, whose product is kept.
+        old = kept_map(self._cache, self._inner_map, X_old)
+        return kept_map(self._cache, self._inner_map, X_new) + phi, old + phi
 
     def sample_grad_all(self, X, Z, rng):
         zeta = per_agent(self.c, Z) + rng.normal(size=(self.n, self.d)) * self.sigma_zeta

@@ -9,12 +9,12 @@ which makes this family the workhorse for stationarity-rate experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle, agent_matvec, per_agent
+from .base import ProblemOracle, agent_matvec, kept_map, per_agent
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class SigmoidQuadraticProblem(ProblemOracle):
     t: np.ndarray  # (n, p) outer targets
     sigma_phi: float
     sigma_zeta: float
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     has_true_g = True
     has_true_grad = True
@@ -39,16 +40,18 @@ class SigmoidQuadraticProblem(ProblemOracle):
     def d(self):
         return self.W.shape[2]
 
+    def _inner_map(self, X):
+        return np.tanh(np.einsum("npd,n...d->n...p", self.W, X))
+
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.p)) * self.sigma_phi
-        new = np.tanh(np.einsum("npd,n...d->n...p", self.W, X_new)) + phi
-        if X_old is X_new:  # one point: one product serves both
-            return new, new
-        return new, np.tanh(np.einsum("npd,n...d->n...p", self.W, X_old)) + phi
+        # The old point first: it is the last round's new point, whose image is kept.
+        old = kept_map(self._cache, self._inner_map, X_old)
+        return kept_map(self._cache, self._inner_map, X_new) + phi, old + phi
 
     def sample_grad_all(self, X, Z, rng):
         zeta = rng.normal(size=(self.n, self.p)) * self.sigma_zeta
-        s = np.tanh(np.einsum("npd,n...d->n...p", self.W, X))
+        s = kept_map(self._cache, self._inner_map, X)  # the inner pair just mapped X
         resid = Z - per_agent(self.t, Z) + zeta
         return np.einsum("npd,n...p,n...p->n...d", self.W, 1.0 - s**2, resid)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dscosim.algorithms import ReplicaStreams, run_stream
+from dscosim.algorithms import ReplicaStreams, rounds, run_stream
 from dscosim.errors import CapabilityError, ConfigurationError
 from dscosim.problems import (
     LogisticProblem,
@@ -12,6 +12,10 @@ from dscosim.problems import (
     monte_carlo_grad_h,
 )
 from dscosim.problems.maml import MlpRegressor
+from dscosim.problems.quadratic import QuadraticProblem
+from dscosim.problems.sigmoid import SigmoidQuadraticProblem
+from dscosim.schedules import Polynomial, StepSchedule
+from dscosim.topology import build_weight_pair, generate_ring_plus_random
 
 
 def finite_diff_grad(fn, x, eps=1e-6):
@@ -156,6 +160,95 @@ class TestSamePointInnerPair:
         prob = make_quadratic(3, 2, seed=2, noise_inner=0.3)
         X = np.random.default_rng(1).normal(size=(3, 5, 2))
         self.check(prob, X, [ReplicaStreams(range(5)), ReplicaStreams(range(5))])
+
+
+KEPT_MAP_FAMILIES = {
+    "quadratic": (QuadraticProblem, lambda n: make_quadratic(n, 3, seed=1, noise_inner=0.2)),
+    "sigmoid": (
+        SigmoidQuadraticProblem,
+        lambda n: make_sigmoid_quadratic(n, 3, seed=1, p=4, noise_inner=0.2),
+    ),
+}
+
+
+@pytest.fixture
+def count_inner_maps(monkeypatch):
+    """Patch a family's inner-map product to count its calls; returns the call list."""
+
+    def patch(cls):
+        calls = []
+        real = cls._inner_map
+
+        def counted(self, X):
+            calls.append(X)
+            return real(self, X)
+
+        monkeypatch.setattr(cls, "_inner_map", counted)
+        return calls
+
+    return patch
+
+
+class TestKeptInnerMap:
+    """The inner-map product kept for the next round's old point changes no bit."""
+
+    @staticmethod
+    def trajectory(algorithm, n, seeds, make, drop):
+        problem = make(n)
+        graph = generate_ring_plus_random(n, n, 0) if n > 1 else None
+        weights = build_weight_pair(graph, graph) if n > 1 else None
+        schedule = StepSchedule(Polynomial(0.5, 5.0, 0.7), beta=1.0)
+        states = rounds(algorithm, problem, schedule, 50, weights, ReplicaStreams(seeds))
+        out = []
+        for state in states:
+            out += [a.tobytes() for a in (state.x, state.z, state.y, state.h_prev) if a is not None]
+            if drop:
+                problem._cache.pop("mapped", None)
+        return out
+
+    @pytest.mark.parametrize("case", sorted(KEPT_MAP_FAMILIES))
+    @pytest.mark.parametrize(
+        "algorithm, n, seeds",
+        [
+            ("ab-dscsc", 10, [0]),
+            ("ab-dscsc", 10, [0, 1, 2, 3]),
+            ("gt-dscgd", 10, [0]),
+            ("gt-dscgd", 10, [0, 1, 2, 3]),
+            ("scsc", 1, [0]),
+        ],
+    )
+    def test_trajectory_equals_recomputed(self, case, algorithm, n, seeds):
+        make = KEPT_MAP_FAMILIES[case][1]
+        kept = self.trajectory(algorithm, n, seeds, make, drop=False)
+        assert kept == self.trajectory(algorithm, n, seeds, make, drop=True)
+
+    @pytest.mark.parametrize("case", sorted(KEPT_MAP_FAMILIES))
+    def test_hit_is_by_identity(self, case, count_inner_maps):
+        cls, make = KEPT_MAP_FAMILIES[case]
+        problem = make(3)
+        calls = count_inner_maps(cls)
+        rng = np.random.default_rng(0)
+        x0, x1 = rng.normal(size=(2, 3, 3))
+        problem.sample_inner_pair_all(x1, x0, rng)
+        assert problem._cache["mapped"][0] is x1 and len(calls) == 2
+        problem.sample_inner_pair_all(x1.copy(), x1, rng)  # equal values, another array
+        assert len(calls) == 3 and calls[-1] is not x1
+        assert problem._cache["mapped"][0] is not x1
+
+    @pytest.mark.parametrize("case", sorted(KEPT_MAP_FAMILIES))
+    def test_one_product_per_round(self, case, count_inner_maps):
+        cls, make = KEPT_MAP_FAMILIES[case]
+        problem = make(10)
+        calls = count_inner_maps(cls)
+        graph = generate_ring_plus_random(10, 10, 0)
+        schedule = StepSchedule(Polynomial(0.5, 5.0, 0.7), beta=1.0)
+        weights = build_weight_pair(graph, graph)
+        states = rounds("ab-dscsc", problem, schedule, 20, weights, ReplicaStreams([0]))
+        next(states)
+        start = len(calls)
+        assert start == 1  # the start maps x0 once, for z and, in the sigmoid family, y
+        for k, _ in enumerate(states, 1):
+            assert len(calls) - start == k
 
 
 class TestQuadratic:
