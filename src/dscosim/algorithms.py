@@ -25,6 +25,7 @@ Generator, as one replica without its axis.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -64,6 +65,11 @@ class ReplicaStreams:
 
     def __init__(self, seeds):
         self.seeds = list(seeds)
+        for s in self.seeds:  # each is a Philox key, a uint64
+            if not isinstance(s, numbers.Integral) or not 0 <= s < 2**64:
+                raise ConfigurationError(
+                    f"seeds must be integers and must lie in [0, 2**64), got {s!r}"
+                )
         self.streams = [run_stream(s) for s in self.seeds]
         self.block = max(1, self.BUFFER_BYTES // (8 * len(self.seeds)))
         self._buf = np.empty((len(self.seeds), 0))

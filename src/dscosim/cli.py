@@ -99,25 +99,14 @@ def _run_batch(shared, seeds):
     return out
 
 
-_worker_shared = None  # a pool worker's (cfg, out_dir, problem, weights, schedule)
-
-
-def _init_worker(shared):
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _worker_run(seeds):
-    return _run_batch(_worker_shared, seeds)
-
-
 def _run_seeds(cfg, seeds, out_dir, jobs=1):
     """Run every seed and return their (record, path) pairs in seed order; if any
     seed diverged, raise the first diverged seed's error once all have run (each
     diverged seed has written its partial record).
 
     With ``jobs`` > 1 the seed list is cut into up to `jobs` contiguous batches
-    (never more than there are seeds), one per worker process.
+    (never more than there are seeds), one per worker process, so each worker
+    receives the shared instance once, with its batch.
     """
     shared = (cfg, out_dir, *_build_instance(cfg))
     workers = min(jobs, len(seeds))
@@ -129,10 +118,9 @@ def _run_seeds(cfg, seeds, out_dir, jobs=1):
 
         bounds = [len(seeds) * w // workers for w in range(workers + 1)]
         batches = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(shared,)
-        ) as pool:
-            results = [r for batch in pool.map(_worker_run, batches) for r in batch]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            run_batch = functools.partial(_run_batch, shared)
+            results = [r for batch in pool.map(run_batch, batches) for r in batch]
     diverged = [r for r in results if isinstance(r, DivergenceError)]
     if diverged:
         raise diverged[0]

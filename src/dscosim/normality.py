@@ -78,10 +78,7 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
         raise ConfigurationError(f"agent must be in [1, {problem.n}], got {agent}")
     if replications < 1 or k < 1:
         raise ConfigurationError(f"replications and k must be >= 1, got {replications} and {k}")
-    if not 0 <= base_seed <= 2**64 - replications:  # every replica's Philox key is a uint64
-        raise ConfigurationError(
-            f"seeds {base_seed} .. {base_seed + replications - 1} must lie in [0, 2**64)"
-        )
+    rng = ReplicaStreams([base_seed + r for r in range(replications)])  # checks every seed
 
     xstar = problem.optimum()
     nd = problem.normality_data()
@@ -91,10 +88,9 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
     )
     i0 = agent - 1
 
-    seeds = range(base_seed, base_seed + replications)
     top = np.zeros((replications, problem.d))
     bottom = np.zeros((replications, problem.d))
-    for state in rounds("ab-dscsc", problem, schedule, k - 1, weights, ReplicaStreams(seeds)):
+    for state in rounds("ab-dscsc", problem, schedule, k - 1, weights, rng):
         top += state.x[i0] - xstar
         gap = state.z - problem.true_g(state.x)  # (n, R, p)
         # one product for all agents, added agent by agent: a reduce over agents would
@@ -104,7 +100,7 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
     scale = 1.0 / np.sqrt(k)
     return [
         DeltaSample(top=scale * top[r], bottom=scale * bottom[r], agent_index=agent, k=k, seed=seed)
-        for r, seed in enumerate(seeds)
+        for r, seed in enumerate(rng.seeds)
     ]
 
 

@@ -2,7 +2,11 @@
 
 Each agent holds a set of sine-wave tasks (amplitude, phase).  The regressor
 is a two-hidden-layer ReLU network on scalar inputs, implemented in-module
-with manual backprop over a flat parameter vector.
+with manual backprop over a flat parameter vector.  The net takes any leading
+axes: one call evaluates every agent and replica as stacked ``matmul``s, each
+net with the bits it has alone.  A sampling primitive first draws every
+agent's minibatches, stream by stream in the serial order, then makes one
+such call per point array.
 
 Compositional structure per agent (task index is part of the randomness):
     inner  G(x; batch) = x - adapt_step * grad L_task(x; batch)
@@ -47,41 +51,47 @@ class MlpRegressor:
         return np.concatenate(parts)
 
     def _unpack(self, x):
+        """The six layers' weights and biases as views into ``x`` (..., n_params)."""
         w = self.width
+        lead = x.shape[:-1]
         o = 0
-        W1 = x[o : o + w].reshape(w, 1); o += w
-        b1 = x[o : o + w]; o += w
-        W2 = x[o : o + w * w].reshape(w, w); o += w * w
-        b2 = x[o : o + w]; o += w
-        W3 = x[o : o + w].reshape(1, w); o += w
-        b3 = x[o : o + 1]
+        W1 = x[..., o : o + w].reshape(*lead, w, 1); o += w
+        b1 = x[..., o : o + w]; o += w
+        W2 = x[..., o : o + w * w].reshape(*lead, w, w); o += w * w
+        b2 = x[..., o : o + w]; o += w
+        W3 = x[..., o : o + w].reshape(*lead, 1, w); o += w
+        b3 = x[..., o : o + 1]
         return W1, b1, W2, b2, W3, b3
 
     def loss_grad(self, x, inputs, targets):
-        """MSE and its gradient w.r.t. the flat parameter vector."""
-        W1, b1, W2, b2, W3, b3 = self._unpack(x)
-        X = inputs[:, None]
-        a1 = X @ W1.T + b1
-        h1 = np.maximum(a1, 0.0)
-        a2 = h1 @ W2.T + b2
-        h2 = np.maximum(a2, 0.0)
-        out = (h2 @ W3.T + b3)[:, 0]
-        B = inputs.shape[0]
-        resid = out - targets
-        loss = float(np.mean(resid**2))
+        """MSE and its gradient w.r.t. the flat parameter vector, per net.
 
-        d_out = (2.0 / B) * resid[:, None]  # (B, 1)
-        gW3 = d_out.T @ h2
-        gb3 = d_out.sum(axis=0)
+        ``x`` is ``(..., n_params)`` and the minibatch ``(..., B)``.  Each net's stacked
+        ``matmul`` slice has the bits of that net alone; ``x`` is made contiguous, as
+        some numpy versions multiply a strided operand outside BLAS.
+        """
+        W1, b1, W2, b2, W3, b3 = self._unpack(np.ascontiguousarray(x))
+        X = inputs[..., :, None]
+        a1 = X @ W1.swapaxes(-1, -2) + b1[..., None, :]
+        h1 = np.maximum(a1, 0.0)
+        a2 = h1 @ W2.swapaxes(-1, -2) + b2[..., None, :]
+        h2 = np.maximum(a2, 0.0)
+        out = (h2 @ W3.swapaxes(-1, -2) + b3[..., None, :])[..., 0]
+        B = inputs.shape[-1]
+        resid = out - targets
+        loss = np.mean(resid**2, axis=-1)
+
+        d_out = (2.0 / B) * resid[..., :, None]  # (..., B, 1)
+        gW3 = d_out.swapaxes(-1, -2) @ h2
+        gb3 = d_out.sum(axis=-2)
         d_h2 = (d_out @ W3) * (a2 > 0)
-        gW2 = d_h2.T @ h1
-        gb2 = d_h2.sum(axis=0)
+        gW2 = d_h2.swapaxes(-1, -2) @ h1
+        gb2 = d_h2.sum(axis=-2)
         d_h1 = (d_h2 @ W2) * (a1 > 0)
-        gW1 = d_h1.T @ X
-        gb1 = d_h1.sum(axis=0)
-        grad = np.concatenate(
-            [gW1.ravel(), gb1, gW2.ravel(), gb2, gW3.ravel(), gb3]
-        )
+        gW1 = d_h1.swapaxes(-1, -2) @ X
+        gb1 = d_h1.sum(axis=-2)
+        parts = [gW1, gb1, gW2, gb2, gW3, gb3]
+        grad = np.concatenate([g.reshape(*x.shape[:-1], -1) for g in parts], axis=-1)
         return loss, grad
 
 
@@ -117,53 +127,40 @@ class SinusoidMamlProblem(ProblemOracle):
         _, grad = self.net.loss_grad(x, *batch)
         return grad
 
-    # The sampling primitives loop over agents in order: agent i draws all of its
-    # minibatches before agent i + 1 draws any.  Given a ReplicaStreams, they run
-    # that loop replica by replica, each on its own stream.
+    def _draw_batches(self, count, lead, rng):
+        """``count`` minibatches per agent as ``(2, count, *lead, B)`` inputs and targets,
+        ``lead`` being ``(n,)`` or ``(n, R)``: on each stream in turn, agent i draws all
+        of its minibatches before agent i + 1 draws any."""
+        batches = np.empty((2, count, *lead, BATCH_SIZE))
+        per_stream = batches.reshape(2, count, self.n, -1, BATCH_SIZE)  # a view
+        for r, g in enumerate(getattr(rng, "streams", [rng])):
+            for i in range(self.n):
+                for c in range(count):
+                    per_stream[:, c, i, r] = self._draw_batch(i, g)
+        return batches
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
-        same = X_old is X_new  # one point: one adaptation step serves both
-        if isinstance(rng, np.random.Generator):
-            return self._inner_pair(X_new, X_old, rng, same)
-        pairs = [
-            self._inner_pair(X_new[:, r], X_old[:, r], g, same) for r, g in enumerate(rng.streams)
-        ]
-        return tuple(np.stack(p, axis=1) for p in zip(*pairs))
-
-    def _inner_pair(self, X_new, X_old, rng, same):
-        new, old = [], []
-        for i in range(self.n):
-            batch = self._draw_batch(i, rng)
-            new.append(X_new[i] - self.adapt_step * self._task_grad(X_new[i], batch))
-            if not same:
-                old.append(X_old[i] - self.adapt_step * self._task_grad(X_old[i], batch))
-        new = np.stack(new)
-        return (new, new) if same else (new, np.stack(old))
+        batch = self._draw_batches(1, X_new.shape[:-1], rng)[:, 0]
+        new = X_new - self.adapt_step * self._task_grad(X_new, batch)
+        if X_old is X_new:  # one point: one adaptation step serves both
+            return new, new
+        return new, X_old - self.adapt_step * self._task_grad(X_old, batch)
 
     def hvp(self, x, vec, batch):
-        """Central finite-difference Hessian-vector product of the task loss."""
-        norm_v = np.linalg.norm(vec)
-        eps = 1e-4 * (1.0 + np.linalg.norm(x)) / max(norm_v, 1e-12)
+        """Central finite-difference Hessian-vector product of the task loss, per net."""
+        # per net sqrt(a @ a): the bits of np.linalg.norm on that net's vector
+        norm_x, norm_v = (np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0] for a in (x, vec))
+        eps = 1e-4 * (1.0 + norm_x) / np.maximum(norm_v, 1e-12)
         gp = self._task_grad(x + eps * vec, batch)
         gm = self._task_grad(x - eps * vec, batch)
         return (gp - gm) / (2.0 * eps)
 
     def sample_grad_all(self, X, Z, rng):
-        if isinstance(rng, np.random.Generator):
-            return self._grad(X, Z, rng)
-        grads = [self._grad(X[:, r], Z[:, r], g) for r, g in enumerate(rng.streams)]
-        return np.stack(grads, axis=1)
-
-    def _grad(self, X, Z, rng):
-        grads = []
-        for i in range(self.n):
-            inner_batch = self._draw_batch(i, rng)
-            outer_batch = self._draw_batch(i, rng)
-            v = self._task_grad(Z[i], outer_batch)
-            if self.adapt_step != 0.0:
-                v = v - self.adapt_step * self.hvp(X[i], v, inner_batch)
-            grads.append(v)
-        return np.stack(grads)
+        inner, outer = self._draw_batches(2, Z.shape[:-1], rng).swapaxes(0, 1)
+        v = self._task_grad(Z, outer)
+        if self.adapt_step != 0.0:
+            v = v - self.adapt_step * self.hvp(X, v, inner)
+        return v
 
 
 def make_sinusoid_maml(n, tasks_per_agent, hidden_width, adapt_step, seed):

@@ -237,6 +237,22 @@ class TestRunDriver:
         with pytest.raises(ConfigurationError, match="metric_stride"):
             run("ab-dscsc", prob, sched(), 10, weights=ring_weights(3), metric_stride=stride)
 
+    @pytest.mark.parametrize(
+        "seeds",
+        [{"seed": -1}, {"seeds": [0, 2**64]}, {"seed": 1.5}, {"seeds": [2, np.float64(3)]}],
+        ids=["minus-one", "2**64", "one-and-a-half", "float64"],
+    )
+    def test_seed_not_a_uint64_rejected(self, seeds):
+        # each seed is a Philox key: -1 and 2**64 overflowed it, and 1.5 ran seed 1's stream
+        prob = make_quadratic(3, 2, seed=0)
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 2\*\*64\)"):
+            run("ab-dscsc", prob, sched(), 10, weights=ring_weights(3), **seeds)
+
+    def test_seed_bounds_accepted(self):
+        prob = make_quadratic(3, 2, seed=0)
+        records = run("ab-dscsc", prob, sched(), 3, weights=ring_weights(3), seeds=[0, 2**64 - 1])
+        assert [r.seed for r in records] == [0, 2**64 - 1]
+
     def test_divergence_raises_with_partial_record(self):
         prob = make_quadratic(3, 2, seed=5, noise_inner=0.1, noise_outer=0.1)
         wp = ring_weights(3)

@@ -301,11 +301,10 @@ seeds = 0:3
 
 class InProcessPool:
     """Stands in for ProcessPoolExecutor: records its size and runs each task in
-    this process, after the initializer, as a single worker would."""
+    this process, as a single worker would."""
 
-    def __init__(self, sizes, max_workers, initializer, initargs):
+    def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -321,7 +320,6 @@ class InProcessPool:
 def pool_sizes(monkeypatch):
     """Swap the process pool for InProcessPool; returns the list of pool sizes made."""
     sizes = []
-    monkeypatch.setattr(cli, "_worker_shared", None)  # restored after the test
     monkeypatch.setattr(
         concurrent.futures,
         "ProcessPoolExecutor",

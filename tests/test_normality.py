@@ -107,6 +107,12 @@ class TestCollectDelta:
         with pytest.raises(ConfigurationError, match=r"must lie in \[0, 2\*\*64\)"):
             collect_delta(3, prob, wp, good_schedule(), 5, 1, base_seed)
 
+    def test_non_integer_base_seed_rejected(self):
+        # range() raised a bare TypeError here
+        prob, wp = small_problem(), small_weights()
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            collect_delta(3, prob, wp, good_schedule(), 5, 1, 1.5)
+
     def test_last_seed_at_uint64_max_accepted(self):
         prob, wp = small_problem(), small_weights()
         samples = collect_delta(3, prob, wp, good_schedule(), 5, 1, 2**64 - 3)

@@ -467,6 +467,141 @@ class TestMaml:
         assert prob.phase.min() >= 0.0 and prob.phase.max() <= 2 * np.pi
 
 
+def one_net_loss_grad(net, x, inputs, targets):
+    """The one-net form the stacked ``MlpRegressor.loss_grad`` replaced: x is one
+    ``(n_params,)`` vector and the minibatch one ``(B,)`` pair."""
+    w = net.width
+    o = 0
+    W1 = x[o : o + w].reshape(w, 1); o += w
+    b1 = x[o : o + w]; o += w
+    W2 = x[o : o + w * w].reshape(w, w); o += w * w
+    b2 = x[o : o + w]; o += w
+    W3 = x[o : o + w].reshape(1, w); o += w
+    b3 = x[o : o + 1]
+    X = inputs[:, None]
+    a1 = X @ W1.T + b1
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ W2.T + b2
+    h2 = np.maximum(a2, 0.0)
+    out = (h2 @ W3.T + b3)[:, 0]
+    B = inputs.shape[0]
+    resid = out - targets
+    loss = float(np.mean(resid**2))
+    d_out = (2.0 / B) * resid[:, None]
+    gW3 = d_out.T @ h2
+    gb3 = d_out.sum(axis=0)
+    d_h2 = (d_out @ W3) * (a2 > 0)
+    gW2 = d_h2.T @ h1
+    gb2 = d_h2.sum(axis=0)
+    d_h1 = (d_h2 @ W2) * (a1 > 0)
+    gW1 = d_h1.T @ X
+    gb1 = d_h1.sum(axis=0)
+    return loss, np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2, gW3.ravel(), gb3])
+
+
+class OneNetMamlOracle:
+    """The agent-by-agent loop the stacked MAML oracle replaced: one net per call,
+    replica by replica over a ReplicaStreams's streams."""
+
+    def __init__(self, prob):
+        self.prob = prob
+
+    def task_grad(self, x, batch):
+        return one_net_loss_grad(self.prob.net, x, *batch)[1]
+
+    def hvp(self, x, vec, batch):
+        eps = 1e-4 * (1.0 + np.linalg.norm(x)) / max(np.linalg.norm(vec), 1e-12)
+        gp = self.task_grad(x + eps * vec, batch)
+        gm = self.task_grad(x - eps * vec, batch)
+        return (gp - gm) / (2.0 * eps)
+
+    def inner_pair(self, X_new, X_old, rng, same):
+        new, old = [], []
+        for i in range(self.prob.n):
+            batch = self.prob._draw_batch(i, rng)
+            new.append(X_new[i] - self.prob.adapt_step * self.task_grad(X_new[i], batch))
+            if not same:
+                old.append(X_old[i] - self.prob.adapt_step * self.task_grad(X_old[i], batch))
+        new = np.stack(new)
+        return (new, new) if same else (new, np.stack(old))
+
+    def grad(self, X, Z, rng):
+        grads = []
+        for i in range(self.prob.n):
+            inner_batch = self.prob._draw_batch(i, rng)
+            outer_batch = self.prob._draw_batch(i, rng)
+            v = self.task_grad(Z[i], outer_batch)
+            if self.prob.adapt_step != 0.0:
+                v = v - self.prob.adapt_step * self.hvp(X[i], v, inner_batch)
+            grads.append(v)
+        return np.stack(grads)
+
+    def sample_inner_pair_all(self, X_new, X_old, rng):
+        same = X_old is X_new
+        if isinstance(rng, np.random.Generator):
+            return self.inner_pair(X_new, X_old, rng, same)
+        pairs = [self.inner_pair(X_new[:, r], X_old[:, r], g, same) for r, g in enumerate(rng.streams)]
+        return tuple(np.stack(p, axis=1) for p in zip(*pairs))
+
+    def sample_grad_all(self, X, Z, rng):
+        if isinstance(rng, np.random.Generator):
+            return self.grad(X, Z, rng)
+        return np.stack([self.grad(X[:, r], Z[:, r], g) for r, g in enumerate(rng.streams)], axis=1)
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedMamlOracle:
+    """The stacked MLP oracle gives the bytes of the one-net form, and leaves every
+    stream where the one-net form leaves it."""
+
+    @pytest.mark.parametrize("streams", ["generator", 1, 3])
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("adapt_step", [0.0, 0.01])
+    @pytest.mark.parametrize("width", [1, 2, 8, 32])
+    def test_bytes_equal_the_one_net_form(self, width, adapt_step, n, streams):
+        prob = make_sinusoid_maml(n, 7, width, adapt_step, seed=width)
+        reference = OneNetMamlOracle(prob)
+        if streams == "generator":
+            lead, make_rng = (n,), lambda: run_stream(21)
+        else:
+            lead, make_rng = (n, streams), lambda: ReplicaStreams(range(21, 21 + streams))
+        X_old, X_new, Z = np.random.default_rng(n).normal(scale=0.5, size=(3, *lead, prob.d))
+
+        def outputs(oracle, rng):
+            return [
+                *oracle.sample_inner_pair_all(X_new, X_new, rng),  # the same point
+                *oracle.sample_inner_pair_all(X_new, X_old, rng),  # distinct points
+                oracle.sample_grad_all(X_new, Z, rng),
+            ]
+
+        rng, ref_rng = make_rng(), make_rng()
+        for a, b in zip(outputs(prob, rng), outputs(reference, ref_rng), strict=True):
+            assert_same_bytes(a, b)
+        for g, h in zip(getattr(rng, "streams", [rng]), getattr(ref_rng, "streams", [ref_rng])):
+            assert_same_bytes(g.random(3), h.random(3))  # both left every stream at one place
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_strided_x_equals_its_contiguous_copy(self, width):
+        net = MlpRegressor(width)
+        rng = np.random.default_rng(width)
+        x = rng.normal(size=(4, 3, 2 * net.n_params))
+        inputs = rng.uniform(-5.0, 5.0, size=(4, 10))
+        targets = rng.normal(size=(4, 10))
+        x1 = x[:, 1, : net.n_params]
+        for strided in (x1, np.asfortranarray(x1), x1[::-1], x[:, 2, ::2]):
+            loss, grad = net.loss_grad(strided, inputs, targets)
+            loss_c, grad_c = net.loss_grad(np.ascontiguousarray(strided), inputs, targets)
+            assert_same_bytes(loss, loss_c)
+            assert_same_bytes(grad, grad_c)
+            for i, row in enumerate(np.ascontiguousarray(strided)):
+                loss_i, grad_i = one_net_loss_grad(net, row, inputs[i], targets[i])
+                assert loss[i] == loss_i
+                assert_same_bytes(grad[i], grad_i)
+
+
 class TestMonteCarloGrad:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_unbiased_within_four_stderr(self, name):
