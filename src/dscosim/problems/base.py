@@ -21,6 +21,9 @@ holds its noise-free inner map of the last point array it mapped, keyed by that
 array's identity, so the next round's old point (the array this round mapped
 as its new point) is not mapped again.  This holds because callers never write
 a point array in place after handing it to an oracle.
+The quadratic family forms its three per-agent products (M x, Q z, Mᵀ v) with
+``agent_contract`` at d = 2 and at least 20 replicas, in the summation order of
+the einsum each replaces, and with einsum everywhere else.
 Given a ``ReplicaStreams`` instead, the arrays are replica-batched
 ``(n, R, d)``/``(n, R, p)`` and each replica draws from its own stream.
 """
@@ -49,6 +52,29 @@ def agent_matvec(M, X):
     replica) as ``M[i] @ x`` does, so every row has the bits of its own product.
     """
     return np.matmul(per_agent(M, X[..., None]), X[..., None])[..., 0]
+
+
+def agent_contract(columns, X, lanes):
+    """Per-agent contraction ``out[n, r, i] = Σ_j A[n, i, j]·X[n, r, j]`` for X ``(n, R, b)``.
+
+    ``columns[j]`` is A's column j as a contiguous ``(n, 1, a)`` array.  Product j
+    goes to accumulator ``j % lanes``, each accumulator sums its products in j
+    order, and the accumulators are then added in order.  For b ≤ 7 and X with a
+    contiguous last axis, this is np.einsum's order: ``lanes=2`` gives the bits of
+    ``"nij,n...j->n...i"`` (contiguous reduction axis: even and odd j apart) and
+    ``lanes=1`` those of ``"nji,n...j->n...i"`` with A's transpose (strided: in
+    sequence).  einsum starts every accumulator from +0.0; that start changes only
+    the sign of a zero sum, so one +0.0 is added at the end instead.
+    """
+    products = [x * column for x, column in zip(X.transpose(2, 0, 1)[..., None], columns)]
+    acc = products[:lanes]
+    for j in range(lanes, len(products)):
+        acc[j % lanes] += products[j]
+    out = acc[0]
+    for partial in acc[1:]:
+        out += partial
+    out += 0.0
+    return out
 
 
 def kept_map(cache, inner_map, X):

@@ -13,7 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle, agent_matvec, kept_map, per_agent
+from .base import NormalityData, ProblemOracle, agent_contract, agent_matvec, kept_map, per_agent
+
+# agent_contract runs at d = 2 from this many replicas on, where it beat einsum on every
+# measured shape (CHANGES.md).  R = 1, where einsum takes a fast path, and other d stay on einsum.
+CONTRACT_MIN_REPLICAS = 20
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,27 @@ class QuadraticProblem(ProblemOracle):
 
     # -- sampling -----------------------------------------------------------
 
+    def _agent_product(self, spec, name, X):
+        """``np.einsum(spec, A, X)`` for A the field ``name`` (M or Q), bit for bit.
+
+        At d = 2 with at least ``CONTRACT_MIN_REPLICAS`` replicas, ``agent_contract``
+        forms it in the einsum's order from A's columns, kept in the cache.  With two
+        terms every order from +0.0 gives the same bits, so no operand layout matters.
+        """
+        A = getattr(self, name)
+        if self.d != 2 or X.ndim != 3 or X.shape[1] < CONTRACT_MIN_REPLICAS:
+            return np.einsum(spec, A, X)
+        transposed = spec.startswith("nji")
+        columns = self._cache.get((spec, name))
+        if columns is None:
+            A_t = A.swapaxes(1, 2) if transposed else A
+            columns = self._cache[(spec, name)] = [
+                np.ascontiguousarray(A_t[:, None, :, j]) for j in range(self.d)
+            ]
+        return agent_contract(columns, X, lanes=1 if transposed else 2)
+
     def _inner_map(self, X):
-        return np.einsum("nij,n...j->n...i", self.M, X)
+        return self._agent_product("nij,n...j->n...i", "M", X)
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.d)) * self.sigma_phi
@@ -51,8 +74,8 @@ class QuadraticProblem(ProblemOracle):
 
     def sample_grad_all(self, X, Z, rng):
         zeta = per_agent(self.c, Z) + rng.normal(size=(self.n, self.d)) * self.sigma_zeta
-        inner = np.einsum("nij,n...j->n...i", self.Q, Z) + zeta
-        return np.einsum("nji,n...j->n...i", self.M, inner)
+        inner = self._agent_product("nij,n...j->n...i", "Q", Z) + zeta
+        return self._agent_product("nji,n...j->n...i", "M", inner)
 
     # -- closed forms -------------------------------------------------------
 

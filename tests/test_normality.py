@@ -144,7 +144,11 @@ def serial_delta(seed, prob, wp, schedule, k, agent):
 
 
 class TestReplicaBatching:
-    @pytest.mark.parametrize("n,d,R", [(1, 3, 4), (3, 2, 7), (10, 5, 3), (60, 3, 20), (100, 5, 20)])
+    # (3, 2, 50) is the covariance study's shape, whose batched products run through
+    # agent_contract while each serial R = 1 run stays on einsum
+    @pytest.mark.parametrize(
+        "n,d,R", [(1, 3, 4), (3, 2, 7), (3, 2, 50), (10, 5, 3), (60, 3, 20), (100, 5, 20)]
+    )
     def test_batched_equals_serial_bitwise(self, n, d, R):
         prob = make_quadratic(n, d, seed=n, noise_inner=0.2, noise_outer=0.2)
         # half of the non-ring edges: a ring's rows hold two nonzero terms, which sum

@@ -11,6 +11,8 @@ from dscosim.problems import (
     make_sinusoid_maml,
     monte_carlo_grad_h,
 )
+from dscosim.problems import quadratic
+from dscosim.problems.base import agent_contract
 from dscosim.problems.maml import MlpRegressor
 from dscosim.problems.quadratic import QuadraticProblem
 from dscosim.problems.sigmoid import SigmoidQuadraticProblem
@@ -349,6 +351,75 @@ class TestQuadratic:
     def test_bad_conditioning_rejected(self):
         with pytest.raises(ConfigurationError):
             make_quadratic(2, 2, 0, conditioning=0.5)
+
+
+def contract_operands(n, R, d, seed):
+    """A and X with an all-zero agent row of X and -0.0 entries in both.
+
+    einsum's +0.0 start shows only in the sign of a zero sum, which a product chain
+    without it gets wrong on such rows."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, d, d))
+    X = rng.normal(size=(n, R, d))
+    X[0] = 0.0  # the quadratic start x0 = 0 is such a row
+    X[-1, :, ::2] = -0.0
+    A[-1, 0] = -0.0
+    return A, X
+
+
+class TestAgentContract:
+    """agent_contract against each einsum it replaces, byte for byte.
+
+    Whether they agree is a fact about the numpy build (its einsum inner loops); a
+    failure here means einsum sums in another order than the one written out in
+    agent_contract, and every quadratic pin run through the kernel would move.
+    """
+
+    @pytest.mark.parametrize("spec,lanes", [("nij,n...j->n...i", 2), ("nji,n...j->n...i", 1)])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_helper_equals_einsum(self, spec, lanes, d):
+        for n in (1, 3, 10, 60):
+            for R in (1, 20, 50, 200):
+                A, X = contract_operands(n, R, d, seed=100 * n + R + d)
+                A_t = A.swapaxes(1, 2) if lanes == 1 else A
+                columns = [np.ascontiguousarray(A_t[:, None, :, j]) for j in range(d)]
+                got = agent_contract(columns, X, lanes)
+                assert got.tobytes() == np.einsum(spec, A, X).tobytes(), (n, R)
+
+    @pytest.mark.parametrize(
+        "spec,name", [("nij,n...j->n...i", "M"), ("nij,n...j->n...i", "Q"), ("nji,n...j->n...i", "M")]
+    )
+    def test_dispatched_products_equal_einsum(self, spec, name):
+        for n in (1, 3, 10, 60):
+            for R in (1, 20, 50, 200):
+                M, X = contract_operands(n, R, 2, seed=n + R)
+                prob = QuadraticProblem(M=M, Q=-M, c=np.zeros((n, 2)), sigma_phi=0.1, sigma_zeta=0.1)
+                for operand in (X, X[:, :, ::-1], np.asfortranarray(X)):
+                    got = prob._agent_product(spec, name, operand)
+                    want = np.einsum(spec, getattr(prob, name), operand)
+                    assert got.tobytes() == want.tobytes(), (n, R)
+
+    @pytest.mark.parametrize(
+        "shape,kernel",
+        [((3, 20, 2), True), ((3, 200, 2), True), ((60, 50, 2), True), ((3, 19, 2), False),
+         ((3, 1, 2), False), ((500, 1, 5), False), ((3, 2), False), ((3, 50, 3), False),
+         ((3, 200, 8), False), ((10, 200, 9), False)],
+    )
+    def test_dispatch(self, monkeypatch, shape, kernel):
+        calls = []
+
+        def recording_contract(*args, **kwargs):
+            calls.append(args)
+            return agent_contract(*args, **kwargs)
+
+        monkeypatch.setattr(quadratic, "agent_contract", recording_contract)
+        n, d = shape[0], shape[-1]
+        prob = make_quadratic(n, d, seed=1)
+        X = np.random.default_rng(2).normal(size=shape)
+        rng = ReplicaStreams(range(shape[1])) if len(shape) == 3 else np.random.default_rng(3)
+        Z, _ = prob.sample_inner_pair_all(X, X, rng)
+        prob.sample_grad_all(X, Z, rng)
+        assert len(calls) == (3 if kernel else 0)
 
 
 class TestLogistic:
