@@ -65,6 +65,8 @@ class ReplicaStreams:
 
     def __init__(self, seeds):
         self.seeds = list(seeds)
+        if not self.seeds:
+            raise ConfigurationError("seeds must hold at least one seed")
         for s in self.seeds:  # each is a Philox key, a uint64
             if not isinstance(s, numbers.Integral) or not 0 <= s < 2**64:
                 raise ConfigurationError(

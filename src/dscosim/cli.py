@@ -206,11 +206,16 @@ def cmd_normality(config_path, out_dir):
         raise ConfigurationError(
             f"normality study runs ab-dscsc only, got algorithm {cfg['algorithm']!r}"
         )
+    seeds = cfg.seed_list()
+    if len(seeds) > 1:
+        raise ConfigurationError(
+            f"normality takes one base seed and runs base ... base + R - 1, got seeds {seeds}"
+        )
     R = cfg["replications"]
     if R < 50:
         raise InsufficientDataError(f"replications must be >= 50, got {R}")
     problem, weights, schedule = _build_instance(cfg)
-    base_seed = cfg.seed_list()[0]
+    base_seed = seeds[0]
     samples = collect_delta(
         R, problem, weights, schedule, cfg["normality_k"], cfg["agent"], base_seed
     )

@@ -8,52 +8,31 @@ from .errors import InsufficientDataError
 from .records import MetricRow
 
 
-def weighted_average(x, u):
-    """Network average (1/n) sum_i u_i x_i with the left Perron weights."""
-    x = np.atleast_2d(x)
-    return (u @ x) / len(u)
-
-
-# The row's sums and means call np.add.reduce directly: np.sum and np.mean run
-# the same pairwise reduce (np.mean then divides by the count), so the bits are
-# theirs, without their Python wrappers.
-
-
-def consensus_error(x, u, xbar=None):
-    """sum_i ||x_i - xbar||^2 with xbar the u-weighted average (pass it if known)."""
-    x = np.atleast_2d(x)
-    if xbar is None:
-        xbar = weighted_average(x, u)
-    return float(np.add.reduce((x - xbar) ** 2, axis=None))
-
-
-def tracking_error(z, x, problem):
-    """sum_i ||z_i - g_i(x_i)||^2; needs a closed-form inner value."""
-    per_agent = np.add.reduce((z - problem.true_g(np.atleast_2d(x))) ** 2, axis=1)
-    total = 0.0
-    for v in per_agent.tolist():  # left to right in agent order; np.sum would add pairwise
-        total += v
-    return total
-
-
 def collect_row(k, alpha_k, beta_k, x, z, problem, u):
     """MetricRow for the current state; missing capabilities give None cells.
 
-    Calls ``true_h`` n + 1 times: once at x*, then at each agent in order.
-    A strided x or z is copied first: ``u @ x`` sums a strided x in another order.
+    consensus_err sums ||x_i - xbar||^2 about xbar = (u @ x) / n, the average
+    under the left Perron weights u; tracking_err sums ||z_i - g_i(x_i)||^2 in
+    agent order. ``true_h`` is called n + 1 times: at x*, then at each agent in
+    order. A strided x or z is copied first: ``u @ x`` sums a strided x in another
+    order. The reduces are np.add.reduce, the pairwise sum np.sum and np.mean run
+    (np.mean then divides by the count), without their Python wrappers.
     """
-    x = np.ascontiguousarray(np.atleast_2d(x))
+    x = np.ascontiguousarray(x)
     z = np.ascontiguousarray(z)
     n = len(x)
-    xbar = weighted_average(x, u)
+    xbar = (u @ x) / n
     row = {
         "k": k,
         "alpha_k": alpha_k,
         "beta_k": beta_k,
-        "consensus_err": consensus_error(x, u, xbar),
+        "consensus_err": float(np.add.reduce((x - xbar) ** 2, axis=None)),
     }
     if problem.has_true_g:
-        row["tracking_err"] = tracking_error(z, x, problem)
+        tracking = 0.0
+        for v in np.add.reduce((z - problem.true_g(x)) ** 2, axis=1).tolist():
+            tracking += v  # left to right in agent order; np.sum would add pairwise
+        row["tracking_err"] = tracking
     if problem.has_true_grad:
         row["grad_norm_sq"] = float(np.add.reduce(problem.true_grad_h(xbar) ** 2))
     if problem.has_optimum:

@@ -142,7 +142,8 @@ class ProblemOracle:
     # Ground-truth accessors, guarded by capability flags.
 
     def true_g(self, X):
-        """Stacked closed-form inner values: row i is g_i(X[i]), shape (n, p)."""
+        """Stacked closed-form inner values g_i(X[i]): (n, p) for X (n, d), and
+        (n, R, p) for a replica-batched X (n, R, d), each replica as its own call."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form inner value")
 
     def true_inner_jacobian_t(self, i, x):

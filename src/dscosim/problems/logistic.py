@@ -86,7 +86,8 @@ class LogisticProblem(ProblemOracle):
 
     def true_g(self, X):
         # the sign goes on after the product: J @ X could flip the sign of an exact zero
-        return -self.b * agent_matvec(self._mean_features(), X)
+        prod = agent_matvec(self._mean_features(), X)
+        return -per_agent(self.b, prod) * prod
 
     def _mean_jacobians(self):
         # grad g_i as columns: (n, m, d) with row j = -b_j (phi_mean + a_j)

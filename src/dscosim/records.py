@@ -12,18 +12,7 @@ reports its own time, and the seeds of a batch add up to the batch's time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-CSV_COLUMNS = [
-    "k",
-    "alpha_k",
-    "beta_k",
-    "consensus_err",
-    "tracking_err",
-    "grad_norm_sq",
-    "opt_gap_avg",
-    "residual_avg",
-]
+from dataclasses import dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -39,6 +28,10 @@ class MetricRow:
 
     def values(self):
         return [getattr(self, c) for c in CSV_COLUMNS]
+
+
+# The field order is the column order of every record CSV.
+CSV_COLUMNS = [f.name for f in fields(MetricRow)]
 
 
 @dataclass

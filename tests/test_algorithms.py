@@ -253,6 +253,11 @@ class TestRunDriver:
         records = run("ab-dscsc", prob, sched(), 3, weights=ring_weights(3), seeds=[0, 2**64 - 1])
         assert [r.seed for r in records] == [0, 2**64 - 1]
 
+    def test_replica_streams_need_a_seed(self):
+        # the buffer block is sized per seed, so no seed is refused before that division
+        with pytest.raises(ConfigurationError, match="seeds must hold at least one seed"):
+            ReplicaStreams([])
+
     def test_divergence_raises_with_partial_record(self):
         prob = make_quadratic(3, 2, seed=5, noise_inner=0.1, noise_outer=0.1)
         wp = ring_weights(3)

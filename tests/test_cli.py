@@ -468,6 +468,29 @@ threshold = 0.9
         report = (out / "normality_report.csv").read_text()
         assert "rel_frobenius_error," in report
 
+    @pytest.mark.parametrize("seeds", ["0,5", "0:2"])
+    def test_more_than_one_seed_exit_2(self, runner, tmp_path, seeds):
+        # the study runs base ... base + R - 1, so a second seed has no run to go to
+        cfg = write(tmp_path, self.CFG + f"seeds = {seeds}\n")
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "one base seed" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds,base", [("7", 7), ("3:1", 3)])
+    def test_one_base_seed_runs(self, runner, tmp_path, seeds, base):
+        # a short study with a loose threshold: only the seeds of its rows are read
+        cfg = self.CFG.replace("normality_k = 1500", "normality_k = 20")
+        cfg = cfg.replace("threshold = 0.9", "threshold = 1e300")
+        out = tmp_path / "norm"
+        res = runner.invoke(
+            main, ["normality", "--config", write(tmp_path, cfg + f"seeds = {seeds}\n"), "--out", str(out)]
+        )
+        assert res.exit_code == 0, res.output
+        rows = (out / "normality_samples.csv").read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(base, base + 60))
+
     def test_too_few_replications_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("replications = 60", "replications = 10"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dscosim.errors import CapabilityError, ConfigurationError, InsufficientDataError
+from dscosim.errors import ConfigurationError, InsufficientDataError
 from dscosim.metrics import (
     bounded_ratio_check,
     collect_row,
-    consensus_error,
     fit_rate_slope,
     geometric_sum_check,
-    tracking_error,
-    weighted_average,
 )
 from dscosim.problems import (
     LogisticProblem,
@@ -34,26 +31,38 @@ from dscosim.records import (
 from dscosim.schedules import ConstantSqrtK, Polynomial, StepSchedule
 
 
+def row_at(x, z, problem):
+    """collect_row at uniform Perron weights."""
+    return collect_row(1, 0.1, 0.1, x, z, problem, np.ones(len(x)))
+
+
 class TestAverages:
+    """collect_row's average, consensus and tracking columns."""
+
     def test_uniform_weights_plain_mean(self):
+        # grad_norm_sq is read at xbar; at uniform u it is the plain mean [2, 3]
+        prob = make_quadratic(2, 2, seed=0)
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(weighted_average(x, np.ones(2)), [2.0, 3.0])
+        expected = float(np.sum(prob.true_grad_h(np.array([2.0, 3.0])) ** 2))
+        assert row_at(x, prob.true_g(x), prob).grad_norm_sq == expected
 
     def test_consensus_zero_at_agreement(self):
+        prob = make_quadratic(4, 2, seed=0)
         x = np.tile([1.0, -2.0], (4, 1))
-        assert consensus_error(x, np.ones(4)) == 0.0
+        assert row_at(x, prob.true_g(x), prob).consensus_err == 0.0
 
     def test_consensus_hand_value(self):
+        prob = make_quadratic(2, 1, seed=0)
         x = np.array([[0.0], [2.0]])
         # xbar = 1, errors 1 + 1
-        assert consensus_error(x, np.ones(2)) == pytest.approx(2.0)
+        assert row_at(x, prob.true_g(x), prob).consensus_err == pytest.approx(2.0)
 
     def test_tracking_error_exact_inner(self):
         prob = make_quadratic(2, 2, seed=0)
         x = np.random.default_rng(0).normal(size=(2, 2))
         z = prob.true_g(x)
-        assert tracking_error(z, x, prob) == 0.0
-        assert tracking_error(z + 0.5, x, prob) == pytest.approx(2 * 2 * 0.25)
+        assert row_at(x, z, prob).tracking_err == 0.0
+        assert row_at(x, z + 0.5, prob).tracking_err == pytest.approx(2 * 2 * 0.25)
 
     @pytest.mark.parametrize("n,d", [(1, 3), (4, 1), (10, 5), (3, 9), (2, 130)])
     def test_tracking_error_bytes_equal_per_agent_sum(self, n, d):
@@ -63,26 +72,27 @@ class TestAverages:
         total = 0.0
         for i in range(n):
             total += float(np.sum((z[i] - prob.M[i] @ x[i]) ** 2))
-        assert tracking_error(z, x, prob) == total
+        assert struct.pack("<d", row_at(x, z, prob).tracking_err) == struct.pack("<d", total)
 
     def test_tracking_needs_capability(self):
+        # without a closed-form inner value the tracking cell is empty, not an error
         prob = make_sinusoid_maml(1, 2, 2, 0.01, seed=0)
-        with pytest.raises(CapabilityError):
-            tracking_error(np.zeros((1, prob.d)), np.zeros((1, prob.d)), prob)
+        row = row_at(np.zeros((1, prob.d)), np.zeros((1, prob.d)), prob)
+        assert row.tracking_err is None and row.consensus_err == 0.0
 
 
 def reference_row(k, alpha_k, beta_k, x, z, problem, u):
-    """The row written with np.mean, np.sum and weighted_average: collect_row's bit reference."""
+    """The row written with np.mean, np.sum and (u @ x) / n: collect_row's bit reference."""
     x = np.atleast_2d(x)
     row = {"k": k, "alpha_k": alpha_k, "beta_k": beta_k}
-    row["consensus_err"] = float(np.sum((x - weighted_average(x, u)) ** 2))
+    row["consensus_err"] = float(np.sum((x - (u @ x) / len(u)) ** 2))
     if problem.has_true_g:
         total = 0.0
         for v in np.sum((z - problem.true_g(x)) ** 2, axis=1).tolist():
             total += v
         row["tracking_err"] = total
     if problem.has_true_grad:
-        row["grad_norm_sq"] = float(np.sum(problem.true_grad_h(weighted_average(x, u)) ** 2))
+        row["grad_norm_sq"] = float(np.sum(problem.true_grad_h((u @ x) / len(u)) ** 2))
     if problem.has_optimum:
         xstar = problem.optimum()
         row["opt_gap_avg"] = float(np.mean(np.sum((x - xstar) ** 2, axis=1)))
@@ -284,6 +294,19 @@ class TestRecordCsv:
         text = record_to_csv(self.make_record())
         assert "# agents = 3" in text and "# problem = quadratic" in text
         assert "# seed = 7" in text
+
+    def test_columns_are_the_written_header(self):
+        # derived from MetricRow's fields: renaming or reordering one changes every CSV
+        assert CSV_COLUMNS == [
+            "k",
+            "alpha_k",
+            "beta_k",
+            "consensus_err",
+            "tracking_err",
+            "grad_norm_sq",
+            "opt_gap_avg",
+            "residual_avg",
+        ]
 
     def test_missing_cells_stay_empty(self):
         text = record_to_csv(self.make_record())

@@ -130,6 +130,18 @@ class TestStackedTrueG:
         expected = np.stack([per_agent_true_g(prob, i, X[i]) for i in range(n)])
         assert G.shape == (n, R, d) and G.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("case", ["quadratic", "sigmoid", "logistic", "logistic-pool"])
+    @pytest.mark.parametrize("extra", [None, 0, 1])  # R = 1, n, n + 1
+    def test_replica_batched_bytes_equal_per_replica_calls(self, case, extra):
+        # labels broadcast agent by agent: a plain (n, m) broadcast against (n, R, m)
+        # gives wrong values at R = n, an (n, n, m) array at R = 1, an error otherwise
+        prob = STACKED_CASES[case]()
+        R = 1 if extra is None else prob.n + extra
+        X = np.random.default_rng(R).normal(size=(prob.n, R, prob.d))
+        G = prob.true_g(X)
+        expected = np.stack([prob.true_g(np.ascontiguousarray(X[:, r])) for r in range(R)], axis=1)
+        assert G.shape == expected.shape and G.tobytes() == expected.tobytes()
+
 
 SAME_POINT_CASES = {
     "quadratic": lambda: make_quadratic(4, 3, seed=1, noise_inner=0.2),
