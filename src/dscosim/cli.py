@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 network-assumption violation, 2 config/usage error,
-3 divergence.
+Exit codes: 0 success, 1 network-assumption violation, 2 config/usage error
+(a config whose arrays do not fit in memory included), 3 divergence.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ def _exit_codes(command):
             _fail(1, err)
         except DivergenceError as err:
             _fail(3, err)
+        except MemoryError as err:  # numpy's _ArrayMemoryError names the array it could not allocate
+            _fail(2, f"the config's arrays do not fit in memory ({err})")
 
     return wrapper
 

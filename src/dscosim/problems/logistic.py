@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle, agent_matvec, per_agent
+from .base import ProblemOracle, agent_matvec, einsum, per_agent
 
 
 def _sigmoid(z):
@@ -66,15 +66,15 @@ class LogisticProblem(ProblemOracle):
     def sample_inner_pair_all(self, X_new, X_old, rng):
         shifted = self._shifted_features(rng)
         b = per_agent(self.b, shifted[..., 0])
-        new = -b * np.einsum("n...md,n...d->n...m", shifted, X_new)
+        new = -b * einsum("n...md,n...d->n...m", shifted, X_new)
         if X_old is X_new:  # one point: one product serves both
             return new, new
-        return new, -b * np.einsum("n...md,n...d->n...m", shifted, X_old)
+        return new, -b * einsum("n...md,n...d->n...m", shifted, X_old)
 
     def sample_grad_all(self, X, Z, rng):
         shifted = self._shifted_features(rng)
         w = _sigmoid(Z) / self.m  # outer gradient, deterministic
-        return -np.einsum("n...m,n...md,n...m->n...d", self.b, shifted, w)
+        return -einsum("n...m,n...md,n...m->n...d", self.b, shifted, w)
 
     # -- closed forms (mean inner map) --------------------------------------
 
@@ -97,13 +97,13 @@ class LogisticProblem(ProblemOracle):
 
     def true_grad_h(self, x):
         J = self._mean_jacobians()
-        g = np.einsum("nmd,d->nm", J, x)
+        g = einsum("nmd,d->nm", J, x)
         w = _sigmoid(g) / self.m
-        return np.einsum("nmd,nm->d", J, w) / self.n
+        return einsum("nmd,nm->d", J, w) / self.n
 
     def true_h(self, x):
         J = self._mean_jacobians()
-        g = np.einsum("nmd,d->nm", J, x)
+        g = einsum("nmd,d->nm", J, x)
         return float(np.add.reduce(np.logaddexp(0.0, g), axis=None) / g.size)  # .mean() without its wrapper
 
     def optimum(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle, agent_contract, agent_matvec, kept_map, per_agent
+from .base import NormalityData, ProblemOracle, agent_contract, agent_matvec, einsum, kept_map, per_agent
 
 # agent_contract runs at d = 2 from this many replicas on, where it beat einsum on every
 # measured shape (CHANGES.md).  R = 1, where einsum takes a fast path, and other d stay on einsum.
@@ -45,15 +45,15 @@ class QuadraticProblem(ProblemOracle):
     # -- sampling -----------------------------------------------------------
 
     def _agent_product(self, spec, name, X):
-        """``np.einsum(spec, A, X)`` for A the field ``name`` (M or Q), bit for bit.
+        """``einsum(spec, A, X)`` for A the field ``name`` (M or Q), bit for bit.
 
         At d = 2 with at least ``CONTRACT_MIN_REPLICAS`` replicas, ``agent_contract``
         forms it in the einsum's order from A's columns, kept in the cache.  With two
         terms every order from +0.0 gives the same bits, so no operand layout matters.
         """
         A = getattr(self, name)
-        if self.d != 2 or X.ndim != 3 or X.shape[1] < CONTRACT_MIN_REPLICAS:
-            return np.einsum(spec, A, X)
+        if X.ndim != 3 or X.shape[1] < CONTRACT_MIN_REPLICAS or self.d != 2:
+            return einsum(spec, A, X)
         transposed = spec.startswith("nji")
         columns = self._cache.get((spec, name))
         if columns is None:
@@ -87,8 +87,8 @@ class QuadraticProblem(ProblemOracle):
 
     def _hess_and_shift(self):
         if "H" not in self._cache:
-            H = np.einsum("nji,njk,nkl->il", self.M, self.Q, self.M)
-            r = np.einsum("nji,nj->i", self.M, self.c)
+            H = einsum("nji,njk,nkl->il", self.M, self.Q, self.M)
+            r = einsum("nji,nj->i", self.M, self.c)
             self._cache["H"] = H
             self._cache["r"] = r
         return self._cache["H"], self._cache["r"]
@@ -104,11 +104,9 @@ class QuadraticProblem(ProblemOracle):
         Q_last = self._cache.get("Q_last")
         if Q_last is None:
             Q_last = self._cache["Q_last"] = np.ascontiguousarray(self.Q.transpose(1, 2, 0))
-        g = np.einsum("nij,j->ni", self.M, x)
+        g = einsum("nij,j->ni", self.M, x)
         g_last = np.ascontiguousarray(g.T)
-        vals = 0.5 * np.einsum("in,ijn,jn->n", g_last, Q_last, g_last) + np.einsum(
-            "ni,ni->n", self.c, g
-        )
+        vals = 0.5 * einsum("in,ijn,jn->n", g_last, Q_last, g_last) + einsum("ni,ni->n", self.c, g)
         return float(np.add.reduce(vals) / len(vals))  # vals.mean() without its wrapper
 
     def optimum(self):
@@ -128,9 +126,9 @@ class QuadraticProblem(ProblemOracle):
         return NormalityData(
             H=H,
             T=[self.Q[i] for i in range(self.n)],
-            s1=lambda: self.sigma_zeta**2 * np.einsum("nji,njk->ik", self.M, self.M),
+            s1=lambda: self.sigma_zeta**2 * einsum("nji,njk->ik", self.M, self.M),
             s2=lambda: self.sigma_phi**2
-            * np.einsum("nji,njk,nkl,nlm->im", self.M, self.Q, self.Q, self.M),
+            * einsum("nji,njk,nkl,nlm->im", self.M, self.Q, self.Q, self.M),
         )
 
 

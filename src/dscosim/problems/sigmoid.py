@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle, agent_matvec, kept_map, per_agent
+from .base import ProblemOracle, agent_matvec, einsum, kept_map, per_agent
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class SigmoidQuadraticProblem(ProblemOracle):
         return self.W.shape[2]
 
     def _inner_map(self, X):
-        return np.tanh(np.einsum("npd,n...d->n...p", self.W, X))
+        return np.tanh(einsum("npd,n...d->n...p", self.W, X))
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         phi = rng.normal(size=(self.n, self.p)) * self.sigma_phi
@@ -53,18 +53,18 @@ class SigmoidQuadraticProblem(ProblemOracle):
         zeta = rng.normal(size=(self.n, self.p)) * self.sigma_zeta
         s = kept_map(self._cache, self._inner_map, X)  # the inner pair just mapped X
         resid = Z - per_agent(self.t, Z) + zeta
-        return np.einsum("npd,n...p,n...p->n...d", self.W, 1.0 - s**2, resid)
+        return einsum("npd,n...p,n...p->n...d", self.W, 1.0 - s**2, resid)
 
     def true_g(self, X):
         return np.tanh(agent_matvec(self.W, X))
 
     def true_grad_h(self, x):
-        s = np.tanh(np.einsum("npd,d->np", self.W, x))
-        return np.einsum("npd,np,np->d", self.W, 1.0 - s**2, s - self.t) / self.n
+        s = np.tanh(einsum("npd,d->np", self.W, x))
+        return einsum("npd,np,np->d", self.W, 1.0 - s**2, s - self.t) / self.n
 
     def true_h(self, x):
-        s = np.tanh(np.einsum("npd,d->np", self.W, x))
-        return float(0.5 * np.sum((s - self.t) ** 2) / self.n)
+        s = np.tanh(einsum("npd,d->np", self.W, x))
+        return float(0.5 * np.add.reduce((s - self.t) ** 2, axis=None) / self.n)  # np.sum without its wrapper
 
 
 def make_sigmoid_quadratic(n, d, seed, p=None, noise_inner=0.1, noise_outer=0.1):

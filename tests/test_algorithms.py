@@ -290,6 +290,34 @@ class TestRunDriver:
         assert rec.rows[-1].grad_norm_sq < 0.1 * rec.rows[0].grad_norm_sq
 
 
+WRAPPER_FREE_FAMILIES = {
+    "quadratic-1": (lambda: make_quadratic(10, 5, seed=0), 1),
+    "quadratic-20": (lambda: make_quadratic(10, 5, seed=0), 20),
+    "logistic": (lambda: make_logistic_cso(4, 20, 3, 0, label_noise=4.0), 3),
+    "logistic-pool": (lambda: make_logistic_cso(4, 20, 3, 0, fixed_inner_pool=5, label_noise=4.0), 3),
+    "sigmoid": (lambda: make_sigmoid_quadratic(5, 4, seed=0, p=3), 3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WRAPPER_FREE_FAMILIES))
+def test_rounds_and_rows_skip_the_einsum_wrapper(monkeypatch, family):
+    """Every product of a round and of a metric row calls numpy's C einsum directly."""
+    make, R = WRAPPER_FREE_FAMILIES[family]
+    problem = make()
+    if problem.has_optimum:  # solved before the first round, as the CLI does (scipy calls np.einsum)
+        problem.optimum()
+    wp = ring_weights(problem.n, extra=2)
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("np.einsum's Python wrapper was called")
+
+    monkeypatch.setattr(np, "einsum", wrapper)
+    states = list(rounds("ab-dscsc", problem, sched(), 5, wp, ReplicaStreams(range(R))))
+    state = states[-1]
+    row = collect_row(state.k, 0.05, 1.0, state.x[:, 0], state.z[:, 0], problem, wp.u)
+    assert state.k == 6 and row.k == 6
+
+
 def serial_run(algorithm, problem, schedule, K, wp, seed, stride, eta=0.03, gamma=3.0):
     """One seed on an (n, d) state with a plain Generator: the seed-at-a-time loop
     that ``run`` replaced, kept as the reference for its bits.  Returns the record

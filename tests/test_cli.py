@@ -286,6 +286,19 @@ class TestSweepCommand:
         assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"]])
+def test_config_too_large_for_memory_exit_2(runner, tmp_path, monkeypatch, command):
+    # a real giant `dim` would first allocate gigabytes; the build raises as numpy would
+    def build_problem(self):
+        raise MemoryError("Unable to allocate 2.24 GiB for an array with shape (3, 100000000)")
+
+    monkeypatch.setattr(ExperimentConfig, "build_problem", build_problem)
+    cfg = write(tmp_path, BASE.replace("dim = 2", "dim = 100000000"))
+    res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "do not fit in memory" in res.output and "Traceback" not in res.output
+
+
 LOGISTIC = """
 problem = logistic
 agents = 5

@@ -11,7 +11,7 @@ from dscosim.problems import (
     make_sinusoid_maml,
     monte_carlo_grad_h,
 )
-from dscosim.problems import quadratic
+from dscosim.problems import base, quadratic
 from dscosim.problems.base import agent_contract
 from dscosim.problems.maml import MlpRegressor
 from dscosim.problems.quadratic import QuadraticProblem
@@ -432,6 +432,31 @@ class TestAgentContract:
         Z, _ = prob.sample_inner_pair_all(X, X, rng)
         prob.sample_grad_all(X, Z, rng)
         assert len(calls) == (3 if kernel else 0)
+
+
+# every subscript string the quadratic, logistic and sigmoid families pass to base.einsum
+FAMILY_EINSUM_SPECS = [
+    "nij,n...j->n...i", "nji,n...j->n...i", "nji,njk,nkl->il", "nji,nj->i", "nij,j->ni",
+    "in,ijn,jn->n", "ni,ni->n", "nji,njk->ik", "nji,njk,nkl,nlm->im",
+    "n...md,n...d->n...m", "n...m,n...md,n...m->n...d", "nmd,d->nm", "nmd,nm->d",
+    "npd,n...d->n...p", "npd,n...p,n...p->n...d", "npd,d->np", "npd,np,np->d",
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_EINSUM_SPECS)
+def test_c_einsum_equals_np_einsum(spec):
+    """``base.einsum``, numpy's C routine, against ``np.einsum`` byte for byte: n = 4
+    agents, m = d + 3, every other index d long, and each ``...`` no axis or R replicas."""
+    leads = [(), (1,), (2,), (20,)] if "..." in spec else [()]
+    rng = np.random.default_rng(0)
+    for d in (2, 5, 10):
+        for lead in leads:
+            sizes = {"n": (4,), "m": (d + 3,), ".": lead}
+            terms = spec.split("->")[0].replace("...", ".").split(",")
+            shapes = [sum((sizes.get(letter, (d,)) for letter in term), ()) for term in terms]
+            operands = [rng.normal(size=shape) for shape in shapes]
+            got = base.einsum(spec, *operands)
+            assert got.tobytes() == np.einsum(spec, *operands).tobytes(), (d, lead)
 
 
 class TestLogistic:
