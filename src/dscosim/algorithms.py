@@ -53,12 +53,16 @@ class ReplicaStreams:
     seed order, stacked on axis 1, so every replica consumes its stream exactly
     as a serial run with that seed would.
 
-    Each stream draws its standard normals in blocks into a joint ``(R, block)``
-    buffer of about ``BUFFER_BYTES``, and each draw is sliced from it in stream
-    order.  A Philox ``normal(size=N)`` equals the same N values drawn in
-    successive calls, so the bits are those of per-draw calls.  ``integers``
-    draws straight from the streams, so it is refused while buffered normals are
-    unread: those values came off the streams first.
+    A refill lays out whole draws in the order they are served: each stream
+    draws ``per * count`` standard normals (``count`` values a draw, ``per`` draws
+    to a block of about ``BUFFER_BYTES``) in one call, and the ``(R, per, *size)``
+    values are moved once into a read-only, C-contiguous ``(per, size[0], R,
+    *size[1:])`` block (at R=1 a view).  A draw is the view of its row.  A Philox
+    ``normal(size=N)`` equals the same N values drawn in successive calls, so the
+    bits are those of per-draw calls.  A draw of another size puts the unread
+    draws back in each stream's own order and lays them out again with the
+    fresh values.  ``integers`` draws straight from the streams, so it is refused
+    while laid-out normals are unread: those values came off the streams first.
     """
 
     BUFFER_BYTES = 256 * 1024
@@ -74,23 +78,36 @@ class ReplicaStreams:
                 )
         self.streams = [run_stream(s) for s in self.seeds]
         self.block = max(1, self.BUFFER_BYTES // (8 * len(self.seeds)))
-        self._buf = np.empty((len(self.seeds), 0))
-        self._pos = 0
+        self._size = None  # the size of the laid-out draws, as the caller gave it
+        self._draws = np.empty((0, 0, len(self.seeds)))  # (draws, size[0], R, *size[1:])
+        self._t = self._end = 0  # next draw, number of draws
 
     def normal(self, size):
-        count = math.prod(size)
-        left = self._buf.shape[1] - self._pos
-        if count > left:  # refill, keeping the unread tail in front
-            fresh = np.array([g.normal(size=max(self.block, count - left)) for g in self.streams])
-            self._buf = np.concatenate([self._buf[:, self._pos :], fresh], axis=1)
-            self._pos = 0
-        draws = self._buf[:, self._pos : self._pos + count].reshape(len(self.seeds), *size)
-        self._pos += count
-        # (n, R, ...); at R=1 a view, which is safe: the buffer is never written in place
-        return np.ascontiguousarray(draws.swapaxes(0, 1))
+        t = self._t
+        if t == self._end or size != self._size:
+            return self._refill(size)
+        self._t = t + 1
+        return self._draws[t]
+
+    def _refill(self, size):
+        """Lay out the unread draws, in stream order, and fresh ones as draws of ``size``."""
+        R, count = len(self.seeds), math.prod(size)
+        unread = self._draws[self._t :]  # (m, size[0], R, ...)
+        left = unread.size // R
+        # a block's worth of draws, and at least one, and enough to take every unread value
+        per = max(1, self.block // count, -(-left // count))
+        values = np.empty((R, per * count))  # each stream's values in its own order
+        values[:, :left] = np.moveaxis(unread, 2, 0).reshape(R, left)
+        for row, g in zip(values, self.streams):
+            row[left:] = g.normal(size=per * count - left)
+        draws = np.moveaxis(values.reshape(R, per, *size), 0, 2)
+        self._draws = np.ascontiguousarray(draws)  # at R=1 already contiguous: a view
+        self._draws.flags.writeable = False
+        self._size, self._t, self._end = size, 1, per
+        return self._draws[0]
 
     def integers(self, low, high, size):
-        if self._pos < self._buf.shape[1]:
+        if self._t < self._end:
             raise RuntimeError("integers drawn while buffered normals are unread")
         return np.stack([g.integers(low, high, size=size) for g in self.streams], axis=1)
 

@@ -79,7 +79,7 @@ def agent_contract(columns, X, lanes):
     sequence).  einsum starts every accumulator from +0.0; that start changes only
     the sign of a zero sum, so one +0.0 is added at the end instead.
     """
-    products = [x * column for x, column in zip(X.transpose(2, 0, 1)[..., None], columns)]
+    products = [X[..., j : j + 1] * column for j, column in enumerate(columns)]
     acc = products[:lanes]
     for j in range(lanes, len(products)):
         acc[j % lanes] += products[j]

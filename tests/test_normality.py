@@ -210,6 +210,50 @@ class TestReplicaBatching:
         streams = self.assert_serial_sequence(seeds, [(3, 5), (1, 1), (2, 2), (3, 5), (4,)])
         assert streams.block < 15
 
+    @pytest.mark.parametrize("R,size", [(1, (10, 5)), (2, (10, 10)), (50, (3, 2))])
+    def test_fixed_shape_draws_across_refills_equal_serial_draws(self, R, size):
+        # the workloads' shapes; a refill lays out at most one block, so these cross three
+        count = size[0] * size[1]
+        draws = 3 * ReplicaStreams(range(R)).block // count + 1
+        streams = self.assert_serial_sequence(range(R), [size] * draws)
+        assert draws * count > 3 * streams.block
+
+    def test_size_change_with_unread_draws_continues_each_stream(self):
+        # the (50, 40) draw comes while laid-out (3, 2) draws are unread and needs more
+        # values than they hold; the (1,) draws then read what it left behind
+        sizes = [(3, 2), (3, 2), (50, 40), (1,), (1,), (3, 2), (2, 1, 3), (50, 40)]
+        self.assert_serial_sequence([5, 9, 2], sizes)
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_draws_are_read_only(self, R):
+        streams = ReplicaStreams(range(R))
+        draw = streams.normal(size=(3, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            draw += 1
+        later = streams.normal(size=(3, 2))
+        assert later[:, 0].tobytes() == run_stream(0).normal(size=(2, 3, 2))[1].tobytes()
+
+    @pytest.mark.parametrize("R", [1, 2, 50])
+    def test_integers_refused_after_one_draw(self, R):
+        streams = ReplicaStreams(range(R))
+        streams.normal(size=(3, 2))
+        with pytest.raises(RuntimeError, match="buffered normals"):
+            streams.integers(0, 7, size=(4,))
+        streams.normal(size=(4, 1))  # a size change lays the unread values out again
+        with pytest.raises(RuntimeError, match="buffered normals"):
+            streams.integers(0, 7, size=(4,))
+
+    def test_integers_follow_a_drained_layout(self):
+        # with 4000 replicas a (3, 5) draw is the whole layout, so none is left unread
+        seeds = range(10**6, 10**6 + 4000)
+        streams = ReplicaStreams(seeds)
+        streams.normal(size=(3, 5))
+        draw = streams.integers(0, 1000, size=(2,))
+        for r in (0, 1, 3999):
+            g = run_stream(seeds[r])
+            g.normal(size=(3, 5))
+            assert draw[:, r].tobytes() == g.integers(0, 1000, size=(2,)).tobytes()
+
     def test_integers_are_each_seeds_own(self):
         streams = ReplicaStreams([5, 9, 2])
         serial = [run_stream(s) for s in (5, 9, 2)]
