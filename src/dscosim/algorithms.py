@@ -54,15 +54,18 @@ class ReplicaStreams:
     as a serial run with that seed would.
 
     A refill lays out whole draws in the order they are served: each stream
-    draws ``per * count`` standard normals (``count`` values a draw, ``per`` draws
-    to a block of about ``BUFFER_BYTES``) in one call, and the ``(R, per, *size)``
-    values are moved once into a read-only, C-contiguous ``(per, size[0], R,
-    *size[1:])`` block (at R=1 a view).  A draw is the view of its row.  A Philox
-    ``normal(size=N)`` equals the same N values drawn in successive calls, so the
-    bits are those of per-draw calls.  A draw of another size puts the unread
-    draws back in each stream's own order and lays them out again with the
-    fresh values.  ``integers`` draws straight from the streams, so it is refused
-    while laid-out normals are unread: those values came off the streams first.
+    fills its row with ``per * count`` standard normals (``count`` values a draw,
+    ``per`` draws to a block of about ``BUFFER_BYTES``) in one in-place call, and
+    the ``(R, per, *size)`` values are moved once into a read-only, C-contiguous
+    ``(per, size[0], R, *size[1:])`` block (at R=1 a view).  A draw is the view of
+    its row.  A Philox ``standard_normal(out=row)`` fills the row with the values
+    that ``normal(size=N)`` would return, except that ``normal(0, 1)`` computes
+    ``0.0 + 1.0·x`` and so turns a −0.0 into +0.0; one ``+= 0.0`` over the joint
+    array does the same.  So the bits are those of per-draw ``normal`` calls.  A
+    draw of another size puts the unread draws back in each stream's own order
+    and lays them out again with the fresh values.  ``integers`` draws straight
+    from the streams, so it is refused while laid-out normals are unread: those
+    values came off the streams first.
     """
 
     BUFFER_BYTES = 256 * 1024
@@ -99,7 +102,8 @@ class ReplicaStreams:
         values = np.empty((R, per * count))  # each stream's values in its own order
         values[:, :left] = np.moveaxis(unread, 2, 0).reshape(R, left)
         for row, g in zip(values, self.streams):
-            row[left:] = g.normal(size=per * count - left)
+            g.standard_normal(out=row[left:])
+        values += 0.0  # -0.0 -> +0.0, as normal(0, 1) does; every other value is kept
         draws = np.moveaxis(values.reshape(R, per, *size), 0, 2)
         self._draws = np.ascontiguousarray(draws)  # at R=1 already contiguous: a view
         self._draws.flags.writeable = False
@@ -133,7 +137,15 @@ def _check_finite(arr, k, what, rng):
     The replica is the first in seed order, named by its seed (``rng`` a
     ``ReplicaStreams``), and the agent is the one its own one-seed run names.  An
     ``(n, d)`` array is one replica; with a plain Generator no seed is named.
+
+    The first test is one product: an entry with |a| >= DIVERGENCE_LIMIT has a
+    rounded square of at least DIVERGENCE_LIMIT**2, and a rounded sum of
+    non-negative terms is never below one of its terms, so a sum below that bound
+    bounds every entry (and is False for NaN and inf).  Only an array that fails it
+    takes the max-abs test, so the guard accepts exactly the arrays that test does.
     """
+    if np.vdot(arr, arr) < DIVERGENCE_LIMIT**2:
+        return
     if np.maximum.reduce(np.abs(arr), axis=None) <= DIVERGENCE_LIMIT:  # False for NaN
         return
     bad = ~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # ab_dscsc_init and ab_dscsc_step are unused here, but the benchmark's tracer patches
-# them by name on this module (ROADMAP item 7 replaces those patches)
+# them by name on this module (ROADMAP item 1 replaces those patches)
 from .algorithms import ReplicaStreams, ab_dscsc_init, ab_dscsc_step, rounds  # noqa: F401
 from .errors import CapabilityError, ConfigurationError, InsufficientDataError, NumericalError
 from .problems.base import agent_matvec

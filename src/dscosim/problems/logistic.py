@@ -61,20 +61,28 @@ class LogisticProblem(ProblemOracle):
         else:
             phi = rng.normal(size=(self.n, self.d))
         phi = phi[..., None, :]
-        return per_agent(self.a, phi) + phi
+        # a contiguous a, tiled over the replica axis, adds faster than a broadcast one
+        a = self._cache.get("a_tiled")
+        if a is None or a.shape[:-2] != phi.shape[:-2]:
+            a = np.broadcast_to(per_agent(self.a, phi), phi.shape[:-2] + self.a.shape[1:]).copy()
+            self._cache["a_tiled"] = a
+        return a + phi
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         shifted = self._shifted_features(rng)
-        b = per_agent(self.b, shifted[..., 0])
-        new = -b * einsum("n...md,n...d->n...m", shifted, X_new)
+        if "neg_b" not in self._cache:
+            self._cache["neg_b"] = -self.b
+        neg_b = per_agent(self._cache["neg_b"], shifted[..., 0])
+        new = neg_b * einsum("n...md,n...d->n...m", shifted, X_new)
         if X_old is X_new:  # one point: one product serves both
             return new, new
-        return new, -b * einsum("n...md,n...d->n...m", shifted, X_old)
+        return new, neg_b * einsum("n...md,n...d->n...m", shifted, X_old)
 
     def sample_grad_all(self, X, Z, rng):
         shifted = self._shifted_features(rng)
         w = _sigmoid(Z) / self.m  # outer gradient, deterministic
-        return -einsum("n...m,n...md,n...m->n...d", self.b, shifted, w)
+        # b = ±1, so s·(b·w) is (b·s)·w exactly: the labels go on the (n, R, m) factor
+        return -einsum("n...md,n...m->n...d", shifted, per_agent(self.b, w) * w)
 
     # -- closed forms (mean inner map) --------------------------------------
 

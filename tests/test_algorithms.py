@@ -89,7 +89,14 @@ class TestAbStep:
         _check_finite(arr, 5, "iterate", ReplicaStreams([11, 12, 13]))
         _check_finite(-arr, 5, "iterate", ReplicaStreams([11, 12, 13]))
 
-    @pytest.mark.parametrize("bad", [np.nextafter(1e6, np.inf), -np.nextafter(1e6, np.inf), np.nan])
+    def test_guard_passes_entries_whose_squares_sum_beyond_the_limit(self):
+        # every entry is within 1e6, but the squares sum to 2.0e15 > 1e12: the max-abs test decides
+        _check_finite(np.full((500, 1, 5), 9e5), 5, "iterate", ReplicaStreams([11]))
+
+    # 1e200 squares to inf, so the sum of squares overflows
+    @pytest.mark.parametrize(
+        "bad", [np.nextafter(1e6, np.inf), -np.nextafter(1e6, np.inf), np.nan, 1e200]
+    )
     @pytest.mark.parametrize("batched", [False, True])
     def test_guard_boundary_values_fail(self, bad, batched):
         arr = np.full((4, 3, 2) if batched else (4, 3), 1e-300)

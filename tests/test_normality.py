@@ -224,6 +224,20 @@ class TestReplicaBatching:
         sizes = [(3, 2), (3, 2), (50, 40), (1,), (1,), (3, 2), (2, 1, 3), (50, 40)]
         self.assert_serial_sequence([5, 9, 2], sizes)
 
+    def test_negative_zero_from_the_generator_reads_positive(self):
+        # normal(0, 1) is 0.0 + 1.0·x, which turns a -0.0 into +0.0; no real seed
+        # draws a -0.0, so a stub stream writes them, and one -1.5 that must be kept
+        class NegativeZeros:
+            def standard_normal(self, out):
+                out[:] = -0.0
+                out[1] = -1.5
+
+        streams = ReplicaStreams([0, 1])
+        streams.streams[1] = NegativeZeros()
+        draw = streams.normal(size=(3, 2))
+        assert draw[:, 0].tobytes() == run_stream(0).normal(size=(3, 2)).tobytes()
+        assert draw[:, 1].tobytes() == np.array([[0.0, -1.5], [0.0, 0.0], [0.0, 0.0]]).tobytes()
+
     @pytest.mark.parametrize("R", [1, 2])
     def test_draws_are_read_only(self, R):
         streams = ReplicaStreams(range(R))

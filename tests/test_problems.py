@@ -484,6 +484,51 @@ class TestLogistic:
         expected = -prob.b[0] * ((prob.a[0] + prob.pool.mean(axis=0)) @ x)
         np.testing.assert_allclose(prob.true_g(np.tile(x, (2, 1)))[0], expected)
 
+    @staticmethod
+    def plain_oracle(prob, rng):
+        """The oracle's draws and products as plain expressions: a broadcast a + phi,
+        -b taken per call, and the gradient as one three-operand einsum."""
+
+        def shifted():
+            if prob.pool is not None:
+                phi = prob.pool[rng.integers(0, prob.pool.shape[0], size=prob.n)]
+            else:
+                phi = rng.normal(size=(prob.n, prob.d))
+            phi = phi[..., None, :]
+            return base.per_agent(prob.a, phi) + phi
+
+        def inner_pair(X_new, X_old):
+            s = shifted()
+            b = base.per_agent(prob.b, s[..., 0])
+            return tuple(-b * np.einsum("n...md,n...d->n...m", s, X) for X in (X_new, X_old))
+
+        def grad(Z):
+            w = 0.5 * (1.0 + np.tanh(0.5 * Z)) / prob.m
+            return -np.einsum("n...m,n...md,n...m->n...d", prob.b, shifted(), w)
+
+        return inner_pair, grad
+
+    @pytest.mark.parametrize("pool", [0, 5])
+    @pytest.mark.parametrize("R", [None, 1, 2, 20])
+    def test_oracle_bits_equal_the_plain_expressions(self, pool, R):
+        prob = make_logistic_cso(
+            10, 20, 10, seed=0, fixed_inner_pool=pool, feature_scale=4.0, label_noise=4.0
+        )
+        streams = (lambda: run_stream(3)) if R is None else (lambda: ReplicaStreams(range(R)))
+        rng, plain_rng = streams(), streams()
+        inner_pair, grad = self.plain_oracle(prob, plain_rng)
+        lead = (10,) if R is None else (10, R)
+        data = np.random.default_rng(1)
+        for _ in range(30):
+            X_new, X_old = 3 * data.normal(size=(2, *lead, 10))
+            Z = 50 * data.normal(size=(*lead, 20))
+            Z[0] = -2000.0  # the sigmoid underflows to 0: agent 1's gradient is a signed zero
+            got = prob.sample_inner_pair_all(X_new, X_old, rng)
+            assert [g.tobytes() for g in got] == [e.tobytes() for e in inner_pair(X_new, X_old)]
+            got = prob.sample_grad_all(X_new, Z, rng)
+            assert got.tobytes() == grad(Z).tobytes()  # tobytes compares sign bits too
+        assert (got[0] == 0).all() and np.signbit(got[0]).all()
+
     def test_inner_mean_is_true_g(self):
         # E over phi of the sampled inner value equals the closed form
         prob = make_logistic_cso(1, 4, 3, seed=3)
