@@ -6,17 +6,15 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-INNER_PROXY_DRAWS = 1000
-
 
 def monte_carlo_grad_h(problem, x, draws, rng):
     """Estimate grad h(x) through the stacked oracles, with every agent at x.
 
     Each of the `draws` outer samples is the agent mean of
-    ``sample_grad_all(X, Z)``, where X stacks x once per agent and Z holds the
-    agents' inner values at x: the closed form when the oracle has one,
-    otherwise the mean of ``INNER_PROXY_DRAWS`` fresh stacked inner samples
-    per outer draw.
+    ``sample_grad_all(X, Z)``, where X stacks x once per agent and Z is the
+    agents' closed-form inner values ``true_g(X)``.  A family without a closed
+    form (MAML) has no ``true_grad_h`` to compare the estimate with, and its
+    ``true_g`` raises ``CapabilityError``.
 
     Returns (mean, stderr) per coordinate.
     """
@@ -24,19 +22,10 @@ def monte_carlo_grad_h(problem, x, draws, rng):
         raise ConfigurationError(f"draws must be >= 1, got {draws}")
     n, d = problem.n, problem.d
     X = np.tile(x, (n, 1))
-
-    def inner_values():
-        if problem.has_true_g:
-            return problem.true_g(X)
-        acc = None
-        for _ in range(INNER_PROXY_DRAWS):
-            G, _ = problem.sample_inner_pair_all(X, X, rng)
-            acc = G if acc is None else acc + G
-        return acc / INNER_PROXY_DRAWS
-
+    Z = problem.true_g(X)
     samples = np.empty((draws, d))
     for t in range(draws):
-        samples[t] = problem.sample_grad_all(X, inner_values(), rng).mean(axis=0)
+        samples[t] = problem.sample_grad_all(X, Z, rng).mean(axis=0)
     mean = samples.mean(axis=0)
     if draws == 1:
         return mean, np.zeros(d)

@@ -769,3 +769,8 @@ class TestMonteCarloGrad:
         prob = make_quadratic(1, 2, 0)
         with pytest.raises(ConfigurationError):
             monte_carlo_grad_h(prob, np.zeros(2), 0, np.random.default_rng(0))
+
+    def test_rejects_a_family_without_closed_form_inner_value(self):
+        prob = make_sinusoid_maml(2, 5, 3, 0.01, seed=0)
+        with pytest.raises(CapabilityError):
+            monte_carlo_grad_h(prob, np.zeros(prob.d), 10, np.random.default_rng(0))
