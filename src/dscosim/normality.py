@@ -21,7 +21,7 @@ import numpy as np
 # ab_dscsc_init and ab_dscsc_step are unused here, but the benchmark's tracer patches
 # them by name on this module (ROADMAP item 1 replaces those patches)
 from .algorithms import ReplicaStreams, ab_dscsc_init, ab_dscsc_step, rounds  # noqa: F401
-from .errors import CapabilityError, ConfigurationError, InsufficientDataError, NumericalError
+from .errors import ConfigurationError, InsufficientDataError, NumericalError
 from .problems.base import agent_matvec
 from .schedules import Polynomial
 
@@ -72,8 +72,7 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
     trajectory storage.
     """
     _check_schedule(schedule)
-    if not (problem.has_optimum and problem.has_normality_data):
-        raise CapabilityError("normality study needs optimum and normality data")
+    nd = problem.normality_data()  # raises CapabilityError for a family without it
     if not 1 <= agent <= problem.n:
         raise ConfigurationError(f"agent must be in [1, {problem.n}], got {agent}")
     if replications < 1 or k < 1:
@@ -81,11 +80,9 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
     rng = ReplicaStreams([base_seed + r for r in range(replications)])  # checks every seed
 
     xstar = problem.optimum()
-    nd = problem.normality_data()
-    # (1/n) grad g_j(x*) T_j, fused per agent, stacked (n, d, p)
-    projs = np.stack(
-        [problem.true_inner_jacobian_t(j, xstar) @ nd.T[j] / problem.n for j in range(problem.n)]
-    )
+    # (1/n) grad g_j(x*) T_j, stacked (n, d, p): one stacked product, each agent's own bits
+    jacobians_t = problem.true_inner_jacobian_t(np.broadcast_to(xstar, (problem.n, problem.d)))
+    projs = jacobians_t @ nd.T / problem.n
     i0 = agent - 1
 
     top = np.zeros((replications, problem.d))

@@ -16,16 +16,18 @@ taking the stacked per-agent arrays and drawing for all n agents in one call:
 
 All randomness comes from the caller-supplied numpy Generator, and every
 result depends only on the inputs, so oracles are safe to share across
-concurrent runs.  A family may keep one product between calls: ``kept_map``
-holds its noise-free inner map of the last point array it mapped, keyed by that
-array's identity, so the next round's old point (the array this round mapped
-as its new point) is not mapped again.  This holds because callers never write
-a point array in place after handing it to an oracle.
-The quadratic family forms its three per-agent products (M x, Q z, Mᵀ v) with
-``agent_contract`` at d = 2 and at least 20 replicas, in the summation order of
-the einsum each replaces, and with einsum everywhere else.
-Given a ``ReplicaStreams`` instead, the arrays are replica-batched
-``(n, R, d)``/``(n, R, p)`` and each replica draws from its own stream.
+concurrent runs.  Given a ``ReplicaStreams`` instead, the arrays are
+replica-batched ``(n, R, d)``/``(n, R, p)`` and each replica draws from its own
+stream.
+
+A family may keep one product between calls: ``kept_map`` holds its noise-free
+inner map of the last point array it mapped, keyed by that array's identity, so
+the next round's old point (the array this round mapped as its new point) is
+not mapped again.  This holds because callers never write a point array in
+place after handing it to an oracle.  Each constant of an instance (a Hessian,
+an optimum, a copy of the data in another layout) is a ``cached_property``,
+computed once per instance on first use.  Neither is an init field, so
+``dataclasses.replace`` gives an instance that computes its own.
 
 The families' einsums call ``einsum``, numpy's C routine ``c_einsum``:
 ``np.einsum`` without ``optimize`` forwards to that same routine, so the bits are
@@ -67,29 +69,6 @@ def agent_matvec(M, X):
     return np.matmul(per_agent(M, X[..., None]), X[..., None])[..., 0]
 
 
-def agent_contract(columns, X, lanes):
-    """Per-agent contraction ``out[n, r, i] = Σ_j A[n, i, j]·X[n, r, j]`` for X ``(n, R, b)``.
-
-    ``columns[j]`` is A's column j as a contiguous ``(n, 1, a)`` array.  Product j
-    goes to accumulator ``j % lanes``, each accumulator sums its products in j
-    order, and the accumulators are then added in order.  For b ≤ 7 and X with a
-    contiguous last axis, this is np.einsum's order: ``lanes=2`` gives the bits of
-    ``"nij,n...j->n...i"`` (contiguous reduction axis: even and odd j apart) and
-    ``lanes=1`` those of ``"nji,n...j->n...i"`` with A's transpose (strided: in
-    sequence).  einsum starts every accumulator from +0.0; that start changes only
-    the sign of a zero sum, so one +0.0 is added at the end instead.
-    """
-    products = [X[..., j : j + 1] * column for j, column in enumerate(columns)]
-    acc = products[:lanes]
-    for j in range(lanes, len(products)):
-        acc[j % lanes] += products[j]
-    out = acc[0]
-    for partial in acc[1:]:
-        out += partial
-    out += 0.0
-    return out
-
-
 def kept_map(cache, inner_map, X):
     """``inner_map(X)``, kept in ``cache`` with X for the next call.
 
@@ -111,7 +90,7 @@ class NormalityData:
     """Closed-form ingredients of the asymptotic covariance.
 
     H: n * Hessian of the global objective at the optimum (d x d).
-    T: per-agent outer-Hessian matrices (p x p).
+    T: stacked per-agent outer-Hessian matrices (n x p x p).
     S1: covariance of the summed gradient noise at (x*, g(x*)).
     S2: covariance of sum_j grad g_j(x*) T_j G_j(x*; phi_j).
 
@@ -120,7 +99,7 @@ class NormalityData:
     """
 
     H: np.ndarray
-    T: list
+    T: np.ndarray
     s1: Callable[[], np.ndarray] = field(repr=False)
     s2: Callable[[], np.ndarray] = field(repr=False)
 
@@ -142,7 +121,6 @@ class ProblemOracle:
     has_true_g = False
     has_true_grad = False
     has_optimum = False
-    has_normality_data = False
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         """Stacked (n, p) arrays G(X_new), G(X_old), one shared draw per agent."""
@@ -159,8 +137,8 @@ class ProblemOracle:
         (n, R, p) for a replica-batched X (n, R, d), each replica as its own call."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form inner value")
 
-    def true_inner_jacobian_t(self, i, x):
-        """Transposed Jacobian of g_i at x (d x p)."""
+    def true_inner_jacobian_t(self, X):
+        """Stacked transposed Jacobians of each g_i at X[i]: (n, d, p) for X (n, d)."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form inner Jacobian")
 
     def true_grad_h(self, x):

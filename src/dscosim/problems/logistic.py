@@ -14,6 +14,7 @@ use the pool mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class LogisticProblem(ProblemOracle):
     a: np.ndarray  # (n, m, d) features
     b: np.ndarray  # (n, m) labels in {-1, +1}
     pool: np.ndarray | None = None  # (l, d) fixed inner samples, or None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     has_true_g = True
     has_true_grad = True
@@ -70,9 +71,7 @@ class LogisticProblem(ProblemOracle):
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         shifted = self._shifted_features(rng)
-        if "neg_b" not in self._cache:
-            self._cache["neg_b"] = -self.b
-        neg_b = per_agent(self._cache["neg_b"], shifted[..., 0])
+        neg_b = per_agent(self._neg_b, shifted[..., 0])
         new = neg_b * einsum("n...md,n...d->n...m", shifted, X_new)
         if X_old is X_new:  # one point: one product serves both
             return new, new
@@ -84,33 +83,35 @@ class LogisticProblem(ProblemOracle):
         # b = ±1, so s·(b·w) is (b·s)·w exactly: the labels go on the (n, R, m) factor
         return -einsum("n...md,n...m->n...d", shifted, per_agent(self.b, w) * w)
 
+    @cached_property
+    def _neg_b(self):
+        return -self.b
+
     # -- closed forms (mean inner map) --------------------------------------
 
+    @cached_property
     def _mean_features(self):
         # (n, m, d) rows a_j + phi_mean, the mean inner map before the label sign
-        if "a_mean" not in self._cache:
-            self._cache["a_mean"] = self.a + self.phi_mean
-        return self._cache["a_mean"]
+        return self.a + self.phi_mean
 
     def true_g(self, X):
         # the sign goes on after the product: J @ X could flip the sign of an exact zero
-        prod = agent_matvec(self._mean_features(), X)
+        prod = agent_matvec(self._mean_features, X)
         return -per_agent(self.b, prod) * prod
 
+    @cached_property
     def _mean_jacobians(self):
         # grad g_i as columns: (n, m, d) with row j = -b_j (phi_mean + a_j)
-        if "J" not in self._cache:
-            self._cache["J"] = -self.b[:, :, None] * self._mean_features()
-        return self._cache["J"]
+        return -self.b[:, :, None] * self._mean_features
 
     def true_grad_h(self, x):
-        J = self._mean_jacobians()
+        J = self._mean_jacobians
         g = einsum("nmd,d->nm", J, x)
         w = _sigmoid(g) / self.m
         return einsum("nmd,nm->d", J, w) / self.n
 
     def true_h(self, x):
-        J = self._mean_jacobians()
+        J = self._mean_jacobians
         g = einsum("nmd,d->nm", J, x)
         return float(np.add.reduce(np.logaddexp(0.0, g), axis=None) / g.size)  # .mean() without its wrapper
 
@@ -122,33 +123,34 @@ class LogisticProblem(ProblemOracle):
         row with ``1^T J x = -1``, the objective decreases along it forever,
         and no minimizer exists.
         """
-        if "xstar" not in self._cache:
-            # scipy.optimize costs about half a second of import; only this solve needs it
-            from scipy.optimize import linprog, minimize
+        return self._optimum
 
-            J = self._mean_jacobians().reshape(-1, self.d)
-            lp = linprog(
-                np.zeros(self.d),
-                A_ub=J,
-                b_ub=np.zeros(len(J)),
-                A_eq=J.sum(axis=0)[None, :],
-                b_eq=[-1.0],
-                bounds=(None, None),
-                method="highs",
+    @cached_property
+    def _optimum(self):
+        # scipy.optimize costs about half a second of import; only this solve needs it
+        from scipy.optimize import linprog, minimize
+
+        J = self._mean_jacobians.reshape(-1, self.d)
+        lp = linprog(
+            np.zeros(self.d),
+            A_ub=J,
+            b_ub=np.zeros(len(J)),
+            A_eq=J.sum(axis=0)[None, :],
+            b_eq=[-1.0],
+            bounds=(None, None),
+            method="highs",
+        )
+        if lp.status == 0:
+            raise ConfigurationError(
+                "logistic data are linearly separable: the objective has no minimizer"
             )
-            if lp.status == 0:
-                raise ConfigurationError(
-                    "logistic data are linearly separable: the objective has no minimizer"
-                )
-            res = minimize(
-                self.true_h,
-                np.zeros(self.d),
-                jac=self.true_grad_h,
-                method="L-BFGS-B",
-                options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 50_000},
-            )
-            self._cache["xstar"] = res.x
-        return self._cache["xstar"]
+        return minimize(
+            self.true_h,
+            np.zeros(self.d),
+            jac=self.true_grad_h,
+            method="L-BFGS-B",
+            options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 50_000},
+        ).x
 
 
 def make_logistic_cso(

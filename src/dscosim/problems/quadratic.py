@@ -9,14 +9,16 @@ normality experiments need (optimum, Hessian, noise covariances) is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle, agent_contract, agent_matvec, einsum, kept_map, per_agent
+from .base import NormalityData, ProblemOracle, agent_matvec, einsum, kept_map, per_agent
 
-# agent_contract runs at d = 2 from this many replicas on, where it beat einsum on every
-# measured shape (CHANGES.md).  R = 1, where einsum takes a fast path, and other d stay on einsum.
+# The d = 2 products run as two multiplies from this many replicas on, where they beat einsum
+# on every measured shape (CHANGES.md).  R = 1, where einsum takes a fast path, and other d
+# stay on einsum.
 CONTRACT_MIN_REPLICAS = 20
 
 
@@ -27,12 +29,11 @@ class QuadraticProblem(ProblemOracle):
     c: np.ndarray  # (n, d) outer noise means
     sigma_phi: float
     sigma_zeta: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     has_true_g = True
     has_true_grad = True
     has_optimum = True
-    has_normality_data = True
 
     @property
     def n(self):
@@ -47,21 +48,28 @@ class QuadraticProblem(ProblemOracle):
     def _agent_product(self, spec, name, X):
         """``einsum(spec, A, X)`` for A the field ``name`` (M or Q), bit for bit.
 
-        At d = 2 with at least ``CONTRACT_MIN_REPLICAS`` replicas, ``agent_contract``
-        forms it in the einsum's order from A's columns, kept in the cache.  With two
-        terms every order from +0.0 gives the same bits, so no operand layout matters.
+        At d = 2 with at least ``CONTRACT_MIN_REPLICAS`` replicas it is formed from A's
+        two columns.  With two terms every summation order gives p0 + p1, so no operand
+        layout matters; einsum sums from +0.0, which turns a -0.0 sum into +0.0.
         """
-        A = getattr(self, name)
         if X.ndim != 3 or X.shape[1] < CONTRACT_MIN_REPLICAS or self.d != 2:
-            return einsum(spec, A, X)
-        transposed = spec.startswith("nji")
-        columns = self._cache.get((spec, name))
-        if columns is None:
-            A_t = A.swapaxes(1, 2) if transposed else A
-            columns = self._cache[(spec, name)] = [
-                np.ascontiguousarray(A_t[:, None, :, j]) for j in range(self.d)
-            ]
-        return agent_contract(columns, X, lanes=1 if transposed else 2)
+            return einsum(spec, getattr(self, name), X)
+        c0, c1 = self._columns[spec, name]
+        out = X[..., 0:1] * c0
+        out += X[..., 1:2] * c1
+        out += 0.0
+        return out
+
+    @cached_property
+    def _columns(self):
+        """For each d = 2 product, A's (Aᵀ's for "nji") two columns as contiguous (n, 1, 2)."""
+        columns = {}
+        products = ("nij,n...j->n...i", "M"), ("nij,n...j->n...i", "Q"), ("nji,n...j->n...i", "M")
+        for spec, name in products:
+            A = getattr(self, name)
+            A = A.swapaxes(1, 2) if spec.startswith("nji") else A
+            columns[spec, name] = [np.ascontiguousarray(A[:, None, :, j]) for j in range(2)]
+        return columns
 
     def _inner_map(self, X):
         return self._agent_product("nij,n...j->n...i", "M", X)
@@ -82,50 +90,51 @@ class QuadraticProblem(ProblemOracle):
     def true_g(self, X):
         return agent_matvec(self.M, X)  # X: (n, d) or replica-batched (n, R, d)
 
-    def true_inner_jacobian_t(self, i, x):
-        return self.M[i].T
+    def true_inner_jacobian_t(self, X):
+        return self.M.swapaxes(1, 2)
 
-    def _hess_and_shift(self):
-        if "H" not in self._cache:
-            H = einsum("nji,njk,nkl->il", self.M, self.Q, self.M)
-            r = einsum("nji,nj->i", self.M, self.c)
-            self._cache["H"] = H
-            self._cache["r"] = r
-        return self._cache["H"], self._cache["r"]
+    @cached_property
+    def _hessian(self):
+        """n times the Hessian of h: the sum of M_iᵀ Q_i M_i."""
+        return einsum("nji,njk,nkl->il", self.M, self.Q, self.M)
+
+    @cached_property
+    def _shift(self):
+        """n times the gradient of h at 0: the sum of M_iᵀ c_i."""
+        return einsum("nji,nj->i", self.M, self.c)
+
+    @cached_property
+    def _q_last(self):
+        return np.ascontiguousarray(self.Q.transpose(1, 2, 0))
+
+    @cached_property
+    def _optimum(self):
+        return np.linalg.solve(self._hessian, -self._shift)
 
     def true_grad_h(self, x):
-        H, r = self._hess_and_shift()
-        return (H @ x + r) / self.n
+        return (self._hessian @ x + self._shift) / self.n
 
     def true_h(self, x):
         # The quadratic form runs on agent-last copies of Q and g: the einsum still
         # sums each agent's d^2 products from zero in (i, j) order, so the bits are
         # those of "ni,nij,nj->n", but its inner loop runs over the n agents, not d.
-        Q_last = self._cache.get("Q_last")
-        if Q_last is None:
-            Q_last = self._cache["Q_last"] = np.ascontiguousarray(self.Q.transpose(1, 2, 0))
         g = einsum("nij,j->ni", self.M, x)
         g_last = np.ascontiguousarray(g.T)
-        vals = 0.5 * einsum("in,ijn,jn->n", g_last, Q_last, g_last) + einsum("ni,ni->n", self.c, g)
+        vals = 0.5 * einsum("in,ijn,jn->n", g_last, self._q_last, g_last) + einsum("ni,ni->n", self.c, g)
         return float(np.add.reduce(vals) / len(vals))  # vals.mean() without its wrapper
 
     def optimum(self):
-        if "xstar" not in self._cache:
-            H, r = self._hess_and_shift()
-            self._cache["xstar"] = np.linalg.solve(H, -r)
-        return self._cache["xstar"]
+        return self._optimum
 
     @property
     def strong_convexity(self):
         """Modulus mu of h: smallest eigenvalue of H / n."""
-        H, _ = self._hess_and_shift()
-        return float(np.linalg.eigvalsh(H).min() / self.n)
+        return float(np.linalg.eigvalsh(self._hessian).min() / self.n)
 
     def normality_data(self):
-        H, _ = self._hess_and_shift()
         return NormalityData(
-            H=H,
-            T=[self.Q[i] for i in range(self.n)],
+            H=self._hessian,
+            T=self.Q,
             s1=lambda: self.sigma_zeta**2 * einsum("nji,njk->ik", self.M, self.M),
             s2=lambda: self.sigma_phi**2
             * einsum("nji,njk,nkl,nlm->im", self.M, self.Q, self.Q, self.M),

@@ -23,7 +23,7 @@ class SigmoidQuadraticProblem(ProblemOracle):
     t: np.ndarray  # (n, p) outer targets
     sigma_phi: float
     sigma_zeta: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     has_true_g = True
     has_true_grad = True

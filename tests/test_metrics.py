@@ -104,7 +104,8 @@ def reference_row(k, alpha_k, beta_k, x, z, problem, u):
 def reference_true_h(problem, x):
     """true_h with ndarray.mean(), as the quadratic and logistic families wrote it."""
     if isinstance(problem, LogisticProblem):
-        g = np.einsum("nmd,d->nm", problem._mean_jacobians(), x)
+        J = -problem.b[:, :, None] * (problem.a + problem.phi_mean)
+        g = np.einsum("nmd,d->nm", J, x)
         return float(np.logaddexp(0.0, g).mean())
     g = np.einsum("nij,j->ni", problem.M, x)
     vals = 0.5 * np.einsum("ni,nij,nj->n", g, problem.Q, g) + np.einsum("ni,ni->n", problem.c, g)

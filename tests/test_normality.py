@@ -17,7 +17,7 @@ from dscosim.normality import (
     samples_to_csv,
     theoretical_covariance,
 )
-from dscosim.problems import make_quadratic, make_sigmoid_quadratic
+from dscosim.problems import make_logistic_cso, make_quadratic, make_sigmoid_quadratic
 from dscosim.schedules import ConstantSqrtK, Polynomial, StepSchedule
 from dscosim.topology import build_weight_pair, generate_ring_plus_random
 
@@ -80,6 +80,18 @@ class TestCollectDelta:
         with pytest.raises(ConfigurationError):
             collect_delta(2, prob, wp, const_beta, 10, 1, 0)
 
+    def test_family_without_normality_data_rejected(self, monkeypatch):
+        # the logistic family has an optimum, but its solve is never reached
+        import scipy.optimize
+
+        solves = []
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: solves.append(a))
+        wp = small_weights(3)
+        for prob in (make_logistic_cso(3, 8, 2, seed=5), make_sigmoid_quadratic(3, 2, seed=0)):
+            with pytest.raises(CapabilityError):
+                collect_delta(2, prob, wp, good_schedule(), 10, 1, 0)
+        assert solves == []
+
     def test_agent_bounds(self):
         prob, wp = small_problem(), small_weights()
         with pytest.raises(ConfigurationError):
@@ -129,7 +141,7 @@ def serial_delta(seed, prob, wp, schedule, k, agent):
     """One replication on its own (n, d) state, accumulated as the batched study does."""
     xstar = prob.optimum()
     nd = prob.normality_data()
-    proj = [prob.true_inner_jacobian_t(j, xstar) @ nd.T[j] / prob.n for j in range(prob.n)]
+    proj = [prob.M[j].T @ nd.T[j] / prob.n for j in range(prob.n)]
     rng = run_stream(seed)
     state = ab_dscsc_init(prob, np.zeros((prob.n, prob.d)), rng)
     top, bottom = np.zeros(prob.d), np.zeros(prob.d)
@@ -144,8 +156,8 @@ def serial_delta(seed, prob, wp, schedule, k, agent):
 
 
 class TestReplicaBatching:
-    # (3, 2, 50) is the covariance study's shape, whose batched products run through
-    # agent_contract while each serial R = 1 run stays on einsum
+    # (3, 2, 50) is the covariance study's shape, whose batched products run as the
+    # d = 2 multiplies while each serial R = 1 run stays on einsum
     @pytest.mark.parametrize(
         "n,d,R", [(1, 3, 4), (3, 2, 7), (3, 2, 50), (10, 5, 3), (60, 3, 20), (100, 5, 20)]
     )

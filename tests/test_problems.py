@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from dscosim.problems import (
     monte_carlo_grad_h,
 )
 from dscosim.problems import base, quadratic
-from dscosim.problems.base import agent_contract
 from dscosim.problems.maml import MlpRegressor
 from dscosim.problems.quadratic import QuadraticProblem
 from dscosim.problems.sigmoid import SigmoidQuadraticProblem
@@ -265,6 +266,37 @@ class TestKeptInnerMap:
             assert len(calls) - start == k
 
 
+REPLACE_CASES = {
+    "quadratic": (lambda: make_quadratic(3, 2, seed=1), lambda p: {"Q": 2 * p.Q}),
+    "logistic": (lambda: make_logistic_cso(4, 8, 3, seed=5), lambda p: {"b": -p.b}),
+    "sigmoid": (lambda: make_sigmoid_quadratic(3, 2, seed=3), lambda p: {"W": 2 * p.W}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLACE_CASES))
+def test_replace_computes_its_own_constants(case):
+    """``dataclasses.replace`` after every constant and the kept map are in use gives
+    the values of an instance built afresh from the same fields."""
+    make, changes = REPLACE_CASES[case]
+    prob = make()
+    X = np.random.default_rng(0).normal(size=(prob.n, prob.d))
+    x = X[0]
+    if prob.has_optimum:
+        prob.optimum()
+    prob.true_grad_h(x), prob.true_h(x)
+    prob.sample_inner_pair_all(X, X, np.random.default_rng(1))
+    new = dataclasses.replace(prob, **changes(prob))
+    # built from the data fields only: a parent's cache must not reach this instance either
+    fresh = type(prob)(**{f.name: getattr(new, f.name) for f in dataclasses.fields(new) if f.name[0] != "_"})
+
+    def values(p):
+        pair = p.sample_inner_pair_all(X, X, np.random.default_rng(1))
+        out = [p.true_grad_h(x), np.float64(p.true_h(x)), *pair]
+        return [a.tobytes() for a in out + ([p.optimum()] if p.has_optimum else [])]
+
+    assert values(new) == values(fresh)
+
+
 class TestQuadratic:
     def test_optimum_is_stationary(self):
         prob = make_quadratic(4, 3, seed=0)
@@ -352,9 +384,7 @@ class TestQuadratic:
         prob = make_quadratic(6, 4, seed=2, noise_inner=0.3, noise_outer=0.4)
         nd = prob.normality_data()
         assert "S1" not in vars(nd) and "S2" not in vars(nd)
-        H, _ = prob._hess_and_shift()
-        assert nd.H is H and len(nd.T) == prob.n
-        assert all(nd.T[i].tobytes() == prob.Q[i].tobytes() for i in range(prob.n))
+        assert nd.H is prob._hessian and nd.T is prob.Q
         S1 = prob.sigma_zeta**2 * np.einsum("nji,njk->ik", prob.M, prob.M)
         S2 = prob.sigma_phi**2 * np.einsum("nji,njk,nkl,nlm->im", prob.M, prob.Q, prob.Q, prob.M)
         assert nd.S1.tobytes() == S1.tobytes() and nd.S2.tobytes() == S2.tobytes()
@@ -380,23 +410,11 @@ def contract_operands(n, R, d, seed):
 
 
 class TestAgentContract:
-    """agent_contract against each einsum it replaces, byte for byte.
+    """The quadratic's per-agent products against the einsums they replace, byte for byte.
 
-    Whether they agree is a fact about the numpy build (its einsum inner loops); a
-    failure here means einsum sums in another order than the one written out in
-    agent_contract, and every quadratic pin run through the kernel would move.
+    At d = 2 with at least 20 replicas they run as two multiplies and an add, whose
+    bits every summation order of einsum shares; elsewhere they run the einsum.
     """
-
-    @pytest.mark.parametrize("spec,lanes", [("nij,n...j->n...i", 2), ("nji,n...j->n...i", 1)])
-    @pytest.mark.parametrize("d", range(1, 8))
-    def test_helper_equals_einsum(self, spec, lanes, d):
-        for n in (1, 3, 10, 60):
-            for R in (1, 20, 50, 200):
-                A, X = contract_operands(n, R, d, seed=100 * n + R + d)
-                A_t = A.swapaxes(1, 2) if lanes == 1 else A
-                columns = [np.ascontiguousarray(A_t[:, None, :, j]) for j in range(d)]
-                got = agent_contract(columns, X, lanes)
-                assert got.tobytes() == np.einsum(spec, A, X).tobytes(), (n, R)
 
     @pytest.mark.parametrize(
         "spec,name", [("nij,n...j->n...i", "M"), ("nij,n...j->n...i", "Q"), ("nji,n...j->n...i", "M")]
@@ -420,18 +438,18 @@ class TestAgentContract:
     def test_dispatch(self, monkeypatch, shape, kernel):
         calls = []
 
-        def recording_contract(*args, **kwargs):
+        def recording_einsum(*args):
             calls.append(args)
-            return agent_contract(*args, **kwargs)
+            return base.einsum(*args)
 
-        monkeypatch.setattr(quadratic, "agent_contract", recording_contract)
+        monkeypatch.setattr(quadratic, "einsum", recording_einsum)
         n, d = shape[0], shape[-1]
         prob = make_quadratic(n, d, seed=1)
         X = np.random.default_rng(2).normal(size=shape)
         rng = ReplicaStreams(range(shape[1])) if len(shape) == 3 else np.random.default_rng(3)
         Z, _ = prob.sample_inner_pair_all(X, X, rng)
         prob.sample_grad_all(X, Z, rng)
-        assert len(calls) == (3 if kernel else 0)
+        assert len(calls) == (0 if kernel else 3)
 
 
 # every subscript string the quadratic, logistic and sigmoid families pass to base.einsum
