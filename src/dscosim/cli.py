@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 network-assumption violation, 2 config/usage error
-(a config whose arrays do not fit in memory included), 3 divergence.
+(a config whose arrays do not fit in memory or on which a numerical routine
+does not converge included), 3 divergence.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     InsufficientDataError,
+    NumericalError,
 )
 from .normality import collect_delta, compare_covariance, samples_to_csv, theoretical_covariance
 from .records import aggregate_mean_rows, record_to_csv, RunRecord
@@ -44,7 +46,7 @@ def _exit_codes(command):
     def wrapper(**kwargs):
         try:
             return command(**kwargs)
-        except (ConfigurationError, CapabilityError, InsufficientDataError) as err:
+        except (ConfigurationError, CapabilityError, InsufficientDataError, NumericalError) as err:
             _fail(2, err)
         except AssumptionError as err:
             _fail(1, err)

@@ -14,12 +14,12 @@ def collect_row(k, alpha_k, beta_k, x, z, problem, u):
     consensus_err sums ||x_i - xbar||^2 about xbar = (u @ x) / n, the average
     under the left Perron weights u; tracking_err sums ||z_i - g_i(x_i)||^2 in
     agent order. ``true_h`` is called n + 1 times: at x*, then at each agent in
-    order. A strided x or z is copied first: ``u @ x`` sums a strided x in another
-    order. The reduces are np.add.reduce, the pairwise sum np.sum and np.mean run
+    order. A strided x is copied first: ``u @ x`` sums a strided x in another
+    order; z only enters an elementwise subtraction, whose bits do not depend
+    on layout. The reduces are np.add.reduce, the pairwise sum np.sum and np.mean run
     (np.mean then divides by the count), without their Python wrappers.
     """
     x = np.ascontiguousarray(x)
-    z = np.ascontiguousarray(z)
     n = len(x)
     xbar = (u @ x) / n
     row = {

@@ -48,10 +48,6 @@ class DirectedGraph:
             inn[i].append(j)
         return out, [sorted(nbrs) for nbrs in inn]
 
-    def in_neighbors(self, i):
-        """Nodes j with an edge j -> i, including i itself."""
-        return list(self._adjacency[1][i])
-
     def reachable_from(self, r):
         """Set of nodes reachable from r along edge direction j -> i."""
         return _search(self._adjacency[0], r, set())
@@ -145,27 +141,20 @@ def check_assumption2(gA, gBt):
 
 
 def _perron_left(A):
-    """Left eigenvector of A at eigenvalue 1, normalized u^T 1 = n."""
+    """Left eigenvector of A at eigenvalue 1, normalized u^T 1 = n.
+
+    A is non-negative and row-stochastic, so from u = 1 every iterate is
+    non-negative and sums to about n.
+    """
     n = A.shape[0]
     u = np.ones(n)
     for _ in range(POWER_ITER_MAX):
         nxt = A.T @ u
-        s = nxt.sum()
-        if s <= 0:
-            raise NumericalError("power iteration collapsed to zero vector")
-        nxt *= n / s
+        nxt *= n / nxt.sum()
         if np.max(np.abs(nxt - u)) < POWER_ITER_TOL:
-            u = nxt
-            break
+            return nxt
         u = nxt
-    else:
-        raise NumericalError(
-            f"Perron power iteration did not converge in {POWER_ITER_MAX} steps"
-        )
-    if np.any(u < -1e-9):
-        raise NumericalError(f"Perron vector has negative entry {u.min():.3e}")
-    u = np.where(u < 0, 0.0, u)
-    return u
+    raise NumericalError(f"Perron power iteration did not converge in {POWER_ITER_MAX} steps")
 
 
 def contraction_factor(M, centering):
@@ -181,6 +170,12 @@ def contraction_factor(M, centering):
     if not np.all(np.isfinite(ev.real)) or not np.all(np.isfinite(ev.imag)):
         raise NumericalError("eigenvalue computation produced non-finite values")
     return float(np.max(np.abs(ev))) if ev.size else 0.0
+
+
+def _in_weights(g, W):
+    """Set row i of W to 1/|in-neighbors of i in g, self included| on each of them."""
+    for i, nbrs in enumerate(g._adjacency[1][1:]):
+        W[i, np.subtract(nbrs, 1)] = 1.0 / len(nbrs)
 
 
 def build_weight_pair(gA, gBt):
@@ -200,17 +195,11 @@ def build_weight_pair(gA, gBt):
     if not (gA.roots() & gBt.roots()):
         raise AssumptionError("root sets of the two graphs are disjoint")
 
-    A = np.zeros((n, n))
-    for i in range(1, n + 1):
-        nbrs = gA.in_neighbors(i)
-        for j in nbrs:
-            A[i - 1, j - 1] = 1.0 / len(nbrs)
-    B = np.zeros((n, n))
-    for j in range(1, n + 1):
-        nbrs = gBt.in_neighbors(j)  # i with (i -> j) in gBt, incl. j
-        for i in nbrs:
-            B[i - 1, j - 1] = 1.0 / len(nbrs)
-
+    A, B = np.zeros((n, n)), np.zeros((n, n))
+    _in_weights(gA, A)
+    # B through its transpose, so it stays C-ordered (_mix's BLAS kernel depends
+    # on layout) and no transposed copy is made
+    _in_weights(gBt, B.T)
     u = _perron_left(A)
     v = _perron_left(B.T)
     return WeightPair(A=A, B=B, u=u, v=v, graph_A=gA)
@@ -222,18 +211,11 @@ def underlying_metropolis(g):
     W_ij = 1/(1 + max(deg_i, deg_j)) for undirected neighbors i != j,
     W_ii = 1 - sum_j W_ij.  Symmetric and doubly stochastic.
     """
-    n = g.n
-    und = {frozenset(e) for e in g.edges}
-    nbrs = {i: set() for i in range(1, n + 1)}
-    for e in und:
-        a, b = sorted(e)
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    deg = {i: len(nbrs[i]) for i in nbrs}
-    W = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in nbrs[i]:
-            W[i - 1, j - 1] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    for i in range(n):
-        W[i, i] = 1.0 - W[i].sum()
+    S = np.zeros((g.n, g.n), dtype=bool)
+    j, i = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T - 1
+    S[j, i] = S[i, j] = True
+    deg = S.sum(1)
+    W = np.zeros((g.n, g.n))
+    W[j, i] = W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    np.fill_diagonal(W, 1.0 - W.sum(1))
     return W

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import dscosim
 import dscosim.cli as cli
+import dscosim.topology as topology
 from dscosim.cli import main
 from dscosim.config import ExperimentConfig, load_config, parse_config_text
 from dscosim.errors import ConfigurationError
@@ -297,6 +298,19 @@ def test_config_too_large_for_memory_exit_2(runner, tmp_path, monkeypatch, comma
     res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "do not fit in memory" in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", [["run", "--out", "o"], ["validate-topology"]])
+def test_perron_iteration_not_converging_exit_2(runner, tmp_path, monkeypatch, command):
+    # a real ring of 500 agents takes the full 100,000 power iterations to fail
+    monkeypatch.setattr(topology, "POWER_ITER_MAX", 3)
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, BASE.replace("agents = 3", "agents = 10"))
+    res = runner.invoke(main, [command[0], "--config", cfg, *command[1:]])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+    assert errors == ["error: Perron power iteration did not converge in 3 steps"]
+    assert "Traceback" not in res.output
 
 
 LOGISTIC = """

@@ -191,6 +191,7 @@ class TestBuildWeightPair:
                 B[j - 1, i - 1] = 1.0 / len(scan_in_neighbors(gBt, i))
         wp = build_weight_pair(gA, gBt)
         assert wp.A.tobytes() == A.tobytes() and wp.B.tobytes() == B.tobytes()
+        assert wp.B.flags.c_contiguous
         assert wp.u.tobytes() == _perron_left(A).tobytes()
         assert wp.v.tobytes() == _perron_left(B.T).tobytes()
 
@@ -239,6 +240,32 @@ class TestMetropolis:
         np.testing.assert_allclose(
             underlying_metropolis(g), [[0.5, 0.5], [0.5, 0.5]]
         )
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            DirectedGraph(1),
+            DirectedGraph(2, {(1, 2)}),
+            DirectedGraph(4, {(1, 2), (2, 1), (2, 3), (3, 4), (4, 3), (4, 1)}),
+            *(generate_ring_plus_random(n, n, n) for n in (3, 10, 50, 500)),
+        ],
+        ids=["n1", "path2", "reciprocal4", "n3", "n10", "n50", "n500"],
+    )
+    def test_bytes_match_per_edge_scan(self, g):
+        # W written from the definition: one pass over the directed edges, where
+        # i -> j and j -> i make one undirected edge, then one row at a time
+        n = g.n
+        nbrs = [set() for _ in range(n + 1)]
+        for j, i in g.edges:
+            nbrs[j].add(i)
+            nbrs[i].add(j)
+        W = np.zeros((n, n))
+        for i in range(1, n + 1):
+            for j in nbrs[i]:
+                W[i - 1, j - 1] = 1.0 / (1.0 + max(len(nbrs[i]), len(nbrs[j])))
+        for i in range(n):
+            W[i, i] = 1.0 - W[i].sum()
+        assert underlying_metropolis(g).tobytes() == W.tobytes()
 
     def test_ring_doubly_stochastic(self):
         W = underlying_metropolis(ring(3))
