@@ -20,6 +20,11 @@ which keeps each replica's own stream and draw order.  Every per-agent product
 is taken replica by replica, so a seed's bits do not depend on the other seeds
 of its batch.  The step functions also take an ``(n, d)`` state with a plain
 Generator, as one replica without its axis.
+
+A step writes only arrays it allocated in that round: each elementwise chain
+goes into the one temporary its first operation allocates, in the association
+of the plain expression, so the bits are that expression's.  The state it was
+given, the draws and an oracle's kept inner-map image are never written.
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ class ReplicaStreams:
         return np.stack([g.integers(low, high, size=size) for g in self.streams], axis=1)
 
 
-@dataclass
+@dataclass(slots=True)
 class NetworkState:
     """Stacked per-agent state at iteration k, shared by every method.
 
@@ -163,7 +168,12 @@ def _check_finite(arr, k, what, rng):
 
 
 def _corrected_z(z, g_new, g_old, beta):
-    return (1.0 - beta) * (z + g_new - g_old) + beta * g_new
+    """``(1 - beta)·(z + g_new - g_old) + beta·g_new``, in that association."""
+    z_new = z + g_new
+    z_new -= g_old
+    z_new *= 1.0 - beta
+    z_new += beta * g_new
+    return z_new
 
 
 def ab_dscsc_init(problem, x0, rng, track=True):
@@ -199,13 +209,17 @@ def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng):
     if not 0.0 < beta_k <= 1.0:
         raise ConfigurationError(f"beta_k must be in (0, 1], got {beta_k}")
     A, B = weights.A, weights.B
-    x_new = _mix(A, state.x - alpha_k * state.y)
+    x_step = alpha_k * state.y
+    np.subtract(state.x, x_step, out=x_step)  # x - alpha·y
+    x_new = _mix(A, x_step)
     _check_finite(x_new, state.k + 1, "iterate", rng)
     g_new, g_old = problem.sample_inner_pair_all(x_new, state.x, rng)
     z_new = _corrected_z(state.z, g_new, g_old, beta_k)
     h_new = problem.sample_grad_all(x_new, z_new, rng)
     # associate so that the n=1 case (B y == h_prev) reduces to y_new == h_new exactly
-    y_new = (_mix(B, state.y) - state.h_prev) + h_new
+    y_new = _mix(B, state.y)
+    y_new -= state.h_prev
+    y_new += h_new
     _check_finite(y_new, state.k + 1, "gradient tracker", rng)
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=y_new, h_prev=h_new)
 
@@ -242,13 +256,18 @@ def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track):
     z_new = _corrected_z(state.z, g_inner, g_inner, gamma * beta_k)  # no correction term
     g = problem.sample_grad_all(state.x, z_new, rng)
     if track:
-        y_new = _mix(W, state.y) + g - state.h_prev
+        y_new = _mix(W, state.y)
+        y_new += g
+        y_new -= state.h_prev
         direction = y_new
     else:
         y_new = None
         direction = g
-    x_tilde = _mix(W, state.x) - eta * direction
-    x_new = state.x + beta_k * (x_tilde - state.x)
+    x_new = _mix(W, state.x)  # x + beta·((W x - eta·direction) - x)
+    x_new -= eta * direction
+    x_new -= state.x
+    x_new *= beta_k
+    x_new += state.x
     _check_finite(x_new, state.k + 1, "iterate", rng)
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=y_new, h_prev=g if track else None)
 

@@ -24,9 +24,10 @@ A family may keep one product between calls: ``kept_map`` holds its noise-free
 inner map of the last point array it mapped, keyed by that array's identity, so
 the next round's old point (the array this round mapped as its new point) is
 not mapped again.  This holds because callers never write a point array in
-place after handing it to an oracle.  Each constant of an instance (a Hessian,
-an optimum, a copy of the data in another layout) is a ``cached_property``,
-computed once per instance on first use.  Neither is an init field, so
+place after handing it to an oracle, and the kept image is read-only.  Each
+constant of an instance (a Hessian, an optimum, a copy of the data in another
+layout, a draw size) is a ``cached_property``, computed once per instance on
+first use.  Neither is an init field, so
 ``dataclasses.replace`` gives an instance that computes its own.
 
 The families' einsums call ``einsum``, numpy's C routine ``c_einsum``:
@@ -73,14 +74,17 @@ def kept_map(cache, inner_map, X):
     """``inner_map(X)``, kept in ``cache`` with X for the next call.
 
     When X *is* the kept array, the kept image is returned: the same array the
-    same product gave for the same X, so a hit changes no bit.  The cache holds
-    X itself, so its id cannot be reused while the pair is kept, and the pair is
-    read and replaced as one tuple, so concurrent callers see a matching pair.
+    same product gave for the same X, so a hit changes no bit.  The image is
+    read-only, so a write into it raises instead of changing the next call's
+    result.  The cache holds X itself, so its id cannot be reused while the pair
+    is kept, and the pair is read and replaced as one tuple, so concurrent
+    callers see a matching pair.
     """
     kept = cache.get("mapped")
     if kept is not None and kept[0] is X:
         return kept[1]
     image = inner_map(X)
+    image.setflags(write=False)
     cache["mapped"] = (X, image)
     return image
 

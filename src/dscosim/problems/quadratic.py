@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle, agent_matvec, einsum, kept_map, per_agent
+from .base import NormalityData, ProblemOracle, agent_matvec, einsum, kept_map
 
 # The d = 2 products run as two multiplies from this many replicas on, where they beat einsum
 # on every measured shape (CHANGES.md).  R = 1, where einsum takes a fast path, and other d
@@ -45,6 +45,35 @@ class QuadraticProblem(ProblemOracle):
 
     # -- sampling -----------------------------------------------------------
 
+    @cached_property
+    def _draw_size(self):
+        return self.n, self.d
+
+    @cached_property
+    def _noise_scales(self):
+        """sigma_phi and sigma_zeta as 0-d arrays, which a ufunc takes without converting a
+        Python float each call; the product is the same float64 multiply."""
+        return np.array(self.sigma_phi), np.array(self.sigma_zeta)
+
+    @cached_property
+    def _c_views(self):
+        """c as ``per_agent`` views, by the number of axes of the array they meet."""
+        return {2: self.c, 3: self.c[:, None, :]}
+
+    @cached_property
+    def _products(self):
+        """For each per-agent product, keyed by (spec, field name): the field (M or Q) and,
+        at d = 2, its two columns (Aᵀ's for "nji") as contiguous ``(n, 1, 2)`` arrays."""
+        products = {}
+        for spec, name in ("nij,n...j->n...i", "M"), ("nij,n...j->n...i", "Q"), ("nji,n...j->n...i", "M"):
+            A = getattr(self, name)
+            columns = None
+            if self.d == 2:
+                A_rows = A.swapaxes(1, 2) if spec.startswith("nji") else A
+                columns = [np.ascontiguousarray(A_rows[:, None, :, j]) for j in range(2)]
+            products[spec, name] = A, columns
+        return products
+
     def _agent_product(self, spec, name, X):
         """``einsum(spec, A, X)`` for A the field ``name`` (M or Q), bit for bit.
 
@@ -52,37 +81,31 @@ class QuadraticProblem(ProblemOracle):
         two columns.  With two terms every summation order gives p0 + p1, so no operand
         layout matters; einsum sums from +0.0, which turns a -0.0 sum into +0.0.
         """
-        if X.ndim != 3 or X.shape[1] < CONTRACT_MIN_REPLICAS or self.d != 2:
-            return einsum(spec, getattr(self, name), X)
-        c0, c1 = self._columns[spec, name]
+        A, columns = self._products[spec, name]
+        if columns is None or X.ndim != 3 or X.shape[1] < CONTRACT_MIN_REPLICAS:
+            return einsum(spec, A, X)
+        c0, c1 = columns
         out = X[..., 0:1] * c0
         out += X[..., 1:2] * c1
         out += 0.0
         return out
 
-    @cached_property
-    def _columns(self):
-        """For each d = 2 product, A's (Aᵀ's for "nji") two columns as contiguous (n, 1, 2)."""
-        columns = {}
-        products = ("nij,n...j->n...i", "M"), ("nij,n...j->n...i", "Q"), ("nji,n...j->n...i", "M")
-        for spec, name in products:
-            A = getattr(self, name)
-            A = A.swapaxes(1, 2) if spec.startswith("nji") else A
-            columns[spec, name] = [np.ascontiguousarray(A[:, None, :, j]) for j in range(2)]
-        return columns
-
     def _inner_map(self, X):
         return self._agent_product("nij,n...j->n...i", "M", X)
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
-        phi = rng.normal(size=(self.n, self.d)) * self.sigma_phi
+        phi = rng.normal(size=self._draw_size) * self._noise_scales[0]
         # The old point first: it is the last round's new point, whose product is kept.
         old = kept_map(self._cache, self._inner_map, X_old)
-        return kept_map(self._cache, self._inner_map, X_new) + phi, old + phi
+        g_new = kept_map(self._cache, self._inner_map, X_new) + phi
+        phi += old  # G(X_old) = M X_old + phi
+        return g_new, phi
 
     def sample_grad_all(self, X, Z, rng):
-        zeta = per_agent(self.c, Z) + rng.normal(size=(self.n, self.d)) * self.sigma_zeta
-        inner = self._agent_product("nij,n...j->n...i", "Q", Z) + zeta
+        zeta = rng.normal(size=self._draw_size) * self._noise_scales[1]
+        zeta += self._c_views[zeta.ndim]
+        inner = self._agent_product("nij,n...j->n...i", "Q", Z)
+        inner += zeta
         return self._agent_product("nji,n...j->n...i", "M", inner)
 
     # -- closed forms -------------------------------------------------------

@@ -65,7 +65,7 @@ class StepSchedule:
 
     def beta_of(self, k):
         if self.beta_rule == "proportional":
-            raw = self.beta * self.alpha(k)
+            raw = self.beta * self.alpha_rule.alpha(k)
         elif self.beta_rule == "polynomial":
             raw = self.beta / k**self.beta_exponent
         else:

@@ -23,6 +23,7 @@ from dscosim.problems import (
     make_sigmoid_quadratic,
     make_sinusoid_maml,
 )
+from dscosim.problems.base import per_agent
 from dscosim.records import RunRecord, record_to_csv
 from dscosim.schedules import Polynomial, StepSchedule
 from dscosim.topology import (
@@ -42,7 +43,109 @@ def sched(a=0.05, b=0.0, e=0.0, beta=1.0):
     return StepSchedule(Polynomial(a, b, e), beta=beta)
 
 
+def step_functions(problem, wp, W, schedule, rng, eta=0.03, gamma=3.0):
+    """Each algorithm's library step as ``step(state, k)``, with the schedule's k-th values."""
+    return {
+        "ab-dscsc": lambda st, k: ab_dscsc_step(st, problem, wp, schedule.alpha(k), schedule.beta_of(k), rng),
+        "gp-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, False),
+        "gt-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, True),
+        "scsc": lambda st, k: scsc_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
+        "scgd": lambda st, k: scgd_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
+    }
+
+
+class OutOfPlaceQuadratic:
+    """The quadratic oracle's draws as out-of-place expressions, every product through
+    ``np.einsum``: the reference for the bits of its in-place sampling."""
+
+    def __init__(self, problem):
+        self.p = problem
+
+    def sample_inner_pair_all(self, X_new, X_old, rng):
+        p = self.p
+        phi = rng.normal(size=(p.n, p.d)) * p.sigma_phi
+        old = np.einsum("nij,n...j->n...i", p.M, X_old)
+        return np.einsum("nij,n...j->n...i", p.M, X_new) + phi, old + phi
+
+    def sample_grad_all(self, X, Z, rng):
+        p = self.p
+        zeta = per_agent(p.c, Z) + rng.normal(size=(p.n, p.d)) * p.sigma_zeta
+        inner = np.einsum("nij,n...j->n...i", p.Q, Z) + zeta
+        return np.einsum("nji,n...j->n...i", p.M, inner)
+
+
+def out_of_place_mix(W, x):
+    """``W @ x``, replica by replica for an ``(n, R, d)`` x."""
+    if x.ndim == 2:
+        return W @ x
+    return np.stack([W @ x[:, r] for r in range(x.shape[1])], axis=1)
+
+
+def out_of_place_round(algorithm, state, oracle, wp, W, alpha, beta, rng, eta=0.03, gamma=3.0):
+    """One round of ``algorithm`` as out-of-place expressions: the reference for the bits
+    of the in-place steps.  ``state`` and the result are tuples (x, z, y, h_prev)."""
+    x, z, y, h = state
+
+    def corrected_z(g_new, g_old, beta):
+        return (1.0 - beta) * (z + g_new - g_old) + beta * g_new
+
+    if algorithm in ("ab-dscsc", "scsc", "scgd"):
+        x_new = x - alpha * y
+        if algorithm == "ab-dscsc":
+            x_new = out_of_place_mix(wp.A, x_new)
+        if algorithm == "scgd":
+            g_new, _ = oracle.sample_inner_pair_all(x_new, x_new, rng)
+            z_new = corrected_z(g_new, g_new, beta)
+        else:
+            g_new, g_old = oracle.sample_inner_pair_all(x_new, x, rng)
+            z_new = corrected_z(g_new, g_old, beta)
+        h_new = oracle.sample_grad_all(x_new, z_new, rng)
+        if algorithm == "ab-dscsc":
+            return x_new, z_new, (out_of_place_mix(wp.B, y) - h) + h_new, h_new
+        return x_new, z_new, h_new, h_new
+    track = algorithm == "gt-dscgd"
+    g_inner, _ = oracle.sample_inner_pair_all(x, x, rng)
+    z_new = corrected_z(g_inner, g_inner, gamma * beta)
+    g = oracle.sample_grad_all(x, z_new, rng)
+    y_new = out_of_place_mix(W, y) + g - h if track else None
+    x_tilde = out_of_place_mix(W, x) - eta * (y_new if track else g)
+    return x + beta * (x_tilde - x), z_new, y_new, g if track else None
+
+
 class TestAbStep:
+    # (n, R, d), R None for an (n, d) state with a plain Generator; n is 1 for scsc and scgd
+    IN_PLACE_SHAPES = [(10, 1, 5), (3, 50, 2), (10, 2, 10), (10, None, 5)]
+
+    @pytest.mark.parametrize("shape", IN_PLACE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_in_place_rounds_keep_the_out_of_place_bytes(self, algorithm, shape):
+        n, R, d = shape
+        n = 1 if algorithm in ("scsc", "scgd") else n
+        problem = make_quadratic(n, d, seed=n + d, noise_inner=0.2, noise_outer=0.2)
+        g = generate_ring_plus_random(n, n // 2, 0) if n > 1 else DirectedGraph(1)
+        wp, W = build_weight_pair(g, g), underlying_metropolis(g)
+        schedule = StepSchedule(Polynomial(0.1, 1.0, 0.6), beta=2.0)
+        x0 = np.random.default_rng(1).normal(size=(n, d) if R is None else (n, R, d))
+        streams = [run_stream(3), run_stream(3)] if R is None else [ReplicaStreams(range(R)) for _ in "ab"]
+        track = algorithm != "gp-dscgd"
+
+        state = ab_dscsc_init(problem, x0, streams[0], track=track)
+        step = step_functions(problem, wp, W, schedule, streams[0])[algorithm]
+        oracle, rng = OutOfPlaceQuadratic(problem), streams[1]
+        z, _ = oracle.sample_inner_pair_all(x0, x0, rng)
+        y = oracle.sample_grad_all(x0, z, rng) if track else None
+        expected = x0, z, y, None if y is None else y.copy()
+        for k in range(1, 6):
+            state = step(state, k)
+            expected = out_of_place_round(
+                algorithm, expected, oracle, wp, W, schedule.alpha(k), schedule.beta_of(k), rng
+            )
+        for got, want in zip((state.x, state.z, state.y, state.h_prev), expected):
+            if want is None:
+                assert got is None
+                continue
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_zero_noise_hand_computed_round(self):
         prob = make_quadratic(3, 2, seed=1, noise_inner=0.0, noise_outer=0.0)
         wp = ring_weights(3)
@@ -325,6 +428,31 @@ def test_rounds_and_rows_skip_the_einsum_wrapper(monkeypatch, family):
     assert state.k == 6 and row.k == 6
 
 
+READ_ONLY_FAMILIES = {
+    "quadratic": lambda n: make_quadratic(n, 3, seed=1, noise_inner=0.2, noise_outer=0.2),
+    "sigmoid": lambda n: make_sigmoid_quadratic(n, 3, seed=3, p=2),
+}
+
+
+@pytest.mark.parametrize("R", [1, 2])
+@pytest.mark.parametrize("family", sorted(READ_ONLY_FAMILIES))
+def test_steps_write_only_their_own_arrays(family, R):
+    """Every step runs from a state whose arrays are all read-only, and the kept inner-map
+    image is read-only: a write into it would change the next round's old point."""
+    for algorithm in ALGORITHMS:
+        n = 1 if algorithm in ("scsc", "scgd") else 4
+        problem = READ_ONLY_FAMILIES[family](n)
+        g = generate_ring_plus_random(n, 2, 0) if n > 1 else DirectedGraph(1)
+        for state in rounds(algorithm, problem, sched(), 3, build_weight_pair(g, g), ReplicaStreams(range(R))):
+            for a in (state.x, state.z, state.y, state.h_prev):
+                if a is not None:
+                    a.flags.writeable = False
+        assert state.k == 4
+        image = problem._cache["mapped"][1]
+        with pytest.raises(ValueError, match="read-only"):
+            image += 1.0
+
+
 def serial_run(algorithm, problem, schedule, K, wp, seed, stride, eta=0.03, gamma=3.0):
     """One seed on an (n, d) state with a plain Generator: the seed-at-a-time loop
     that ``run`` replaced, kept as the reference for its bits.  Returns the record
@@ -337,13 +465,7 @@ def serial_run(algorithm, problem, schedule, K, wp, seed, stride, eta=0.03, gamm
     W = underlying_metropolis(wp.graph_A)
     dscgd = algorithm.endswith("dscgd")
     u = wp.u if algorithm == "ab-dscsc" else np.ones(problem.n)
-    steps = {
-        "ab-dscsc": lambda st, k: ab_dscsc_step(st, problem, wp, schedule.alpha(k), schedule.beta_of(k), rng),
-        "gp-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, False),
-        "gt-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, True),
-        "scsc": lambda st, k: scsc_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
-        "scgd": lambda st, k: scgd_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
-    }
+    step = step_functions(problem, wp, W, schedule, rng, eta, gamma)[algorithm]
     record = RunRecord(config={}, seed=seed)
 
     def note(st, k):
@@ -354,7 +476,7 @@ def serial_run(algorithm, problem, schedule, K, wp, seed, stride, eta=0.03, gamm
         state = ab_dscsc_init(problem, x0, rng, track=algorithm != "gp-dscgd")
         note(state, 1)
         for k in range(1, K + 1):
-            state = steps[algorithm](state, k)
+            state = step(state, k)
             if k % stride == 0:
                 note(state, k)
     except DivergenceError as err:
