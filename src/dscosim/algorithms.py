@@ -18,8 +18,9 @@ AB recursion consumes draws in exactly the same order as ``scsc_step``.
 ``(n, R, d)``, one replica per seed, and the stream is a ``ReplicaStreams``,
 which keeps each replica's own stream and draw order.  Every per-agent product
 is taken replica by replica, so a seed's bits do not depend on the other seeds
-of its batch.  The step functions also take an ``(n, d)`` state with a plain
-Generator, as one replica without its axis.
+of its batch, and a diverged replica is dropped where it stands.  The step
+functions also take an ``(n, d)`` state with a plain Generator, as one replica
+without its axis.
 
 A step writes only arrays it allocated in that round: each elementwise chain
 goes into the one temporary its first operation allocates, in the association
@@ -70,7 +71,8 @@ class ReplicaStreams:
     draw of another size puts the unread draws back in each stream's own order
     and lays them out again with the fresh values.  ``integers`` draws straight
     from the streams, so it is refused while laid-out normals are unread: those
-    values came off the streams first.
+    values came off the streams first.  ``diverged`` holds the guard's error for
+    each replica it flagged, in the order flagged.
     """
 
     BUFFER_BYTES = 256 * 1024
@@ -84,11 +86,14 @@ class ReplicaStreams:
                 raise ConfigurationError(
                     f"seeds must be integers and must lie in [0, 2**64), got {s!r}"
                 )
+        if len(set(self.seeds)) < len(self.seeds):  # a flagged replica is named by its seed
+            raise ConfigurationError(f"seeds must be distinct, got {self.seeds!r}")
         self.streams = [run_stream(s) for s in self.seeds]
         self.block = max(1, self.BUFFER_BYTES // (8 * len(self.seeds)))
         self._size = None  # the size of the laid-out draws, as the caller gave it
         self._draws = np.empty((0, 0, len(self.seeds)))  # (draws, size[0], R, *size[1:])
         self._t = self._end = 0  # next draw, number of draws
+        self.diverged = []
 
     def normal(self, size):
         t = self._t
@@ -115,6 +120,13 @@ class ReplicaStreams:
         self._size, self._t, self._end = size, 1, per
         return self._draws[0]
 
+    def keep(self, rows):
+        """Keep only the replicas at ``rows``: their seeds, streams and laid-out draws."""
+        self.seeds = [self.seeds[r] for r in rows]
+        self.streams = [self.streams[r] for r in rows]
+        self._draws = self._draws.take(rows, axis=2)  # C-contiguous, as a refill lays it out
+        self._draws.flags.writeable = False
+
     def integers(self, low, high, size):
         if self._t < self._end:
             raise RuntimeError("integers drawn while buffered normals are unread")
@@ -137,11 +149,12 @@ class NetworkState:
 
 
 def _check_finite(arr, k, what, rng):
-    """Raise DivergenceError naming the replica and agent of a non-finite or runaway entry.
+    """A DivergenceError for each replica with a non-finite or runaway entry.
 
-    The replica is the first in seed order, named by its seed (``rng`` a
-    ``ReplicaStreams``), and the agent is the one its own one-seed run names.  An
-    ``(n, d)`` array is one replica; with a plain Generator no seed is named.
+    It names the agent and k that the replica's one-seed run names.  With a plain
+    Generator (``arr`` one ``(n, d)`` replica) it is raised.  With a
+    ``ReplicaStreams`` each newly bad replica's error, naming its seed, goes onto
+    ``rng.diverged`` in seed order, and its entries of ``arr`` are zeroed.
 
     The first test is one product: an entry with |a| >= DIVERGENCE_LIMIT has a
     rounded square of at least DIVERGENCE_LIMIT**2, and a rounded sum of
@@ -154,17 +167,21 @@ def _check_finite(arr, k, what, rng):
     if np.maximum.reduce(np.abs(arr), axis=None) <= DIVERGENCE_LIMIT:  # False for NaN
         return
     bad = ~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)
-    bad = bad.reshape(len(arr), -1, arr.shape[-1])  # (n, R, d)
-    r = int(np.argmax(bad.any(axis=(0, 2))))
-    agent = int(np.argmax(bad[:, r].any(axis=1))) + 1
-    seed = rng.seeds[r] if isinstance(rng, ReplicaStreams) else None
-    where = "" if seed is None else f", seed {seed}"
-    raise DivergenceError(
-        f"{what} non-finite or beyond {DIVERGENCE_LIMIT:g} at k={k}, agent {agent}{where}",
-        k=k,
-        agent=agent,
-        seed=seed,
-    )
+    bad = bad.reshape(len(arr), -1, arr.shape[-1]).any(axis=2)  # (n, R)
+    seeds = getattr(rng, "seeds", [None])
+    flagged = {err.seed for err in getattr(rng, "diverged", ())}
+    for r in np.flatnonzero(bad.any(axis=0)):
+        seed, agent = seeds[r], int(np.argmax(bad[:, r])) + 1
+        where = "" if seed is None else f", seed {seed}"
+        err = DivergenceError(
+            f"{what} non-finite or beyond {DIVERGENCE_LIMIT:g} at k={k}, agent {agent}{where}",
+            k=k, agent=agent, seed=seed,
+        )
+        if seed is None:
+            raise err
+        if seed not in flagged:  # a replica flagged earlier in this round is named once
+            rng.diverged.append(err)
+        arr[:, r] = 0.0  # an array the step allocated: the rest of the step stays finite
 
 
 def _corrected_z(z, g_new, g_old, beta):
@@ -181,7 +198,7 @@ def ab_dscsc_init(problem, x0, rng, track=True):
 
     With ``track=False`` (GP-DSCGD) no gradient is drawn and y, h_prev are None.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0 = np.array(x0, dtype=float, ndmin=2)  # a copy: the guard may zero a replica
     _check_finite(x0, 1, "initial iterate", rng)
     z, _ = problem.sample_inner_pair_all(x0, x0, rng)
     if not track:
@@ -285,16 +302,17 @@ def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
     """Yield the state at k=1, then the state after each of K rounds.
 
     The one round loop: every replica of ``rng`` starts from ``_default_x0``, and
-    round k takes ``algorithm``'s step with the schedule's k-th values.  The caller
-    validates the arguments; a DivergenceError leaves the generator.
+    round k takes ``algorithm``'s step with the schedule's k-th values.  The replicas
+    the guard flags leave the state and ``rng.seeds`` before the next yield, and the
+    generator returns once none is left.  The caller validates the arguments.
     """
     dscgd = algorithm in ("gp-dscgd", "gt-dscgd")
     W = underlying_metropolis(weights.graph_A) if dscgd else None
     track = algorithm != "gp-dscgd"  # the one method without a gradient tracker
-    state = ab_dscsc_init(problem, _default_x0(problem, rng), rng, track=track)
-    yield state
-    for k in range(1, K + 1):
-        if algorithm == "ab-dscsc":
+    for k in range(K + 1):
+        if k == 0:
+            state = ab_dscsc_init(problem, _default_x0(problem, rng), rng, track=track)
+        elif algorithm == "ab-dscsc":
             state = ab_dscsc_step(state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng)
         elif dscgd:
             state = dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track)
@@ -302,6 +320,14 @@ def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
             state = scsc_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
         else:
             state = scgd_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
+        if rng.diverged and rng.diverged[-1].seed in rng.seeds:  # flagged in this round
+            gone = {err.seed for err in rng.diverged}
+            rows = [r for r, s in enumerate(rng.seeds) if s not in gone]
+            if not rows:
+                return
+            rng.keep(rows)
+            arrays = (state.x, state.z, state.y, state.h_prev)
+            state = NetworkState(state.k, *(a if a is None else a.take(rows, axis=1) for a in arrays))
         yield state
 
 
@@ -324,10 +350,10 @@ def run(
     divergence the partial record is attached to the raised error.
 
     Given a list of ``seeds`` instead of one ``seed``, the seeds advance as one
-    replica-batched state and the result is a list in seed order: each seed's
-    RunRecord, or, for a seed that diverged, its DivergenceError with the
-    partial record attached, not raised.  Each seed's rows have the bits of its
-    one-seed run.
+    replica-batched state, in one pass, and the result is a list in seed order:
+    each seed's RunRecord, or, for a seed that diverged, its DivergenceError with
+    the partial record attached, not raised.  Each seed's rows have the bits of
+    its one-seed run.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
@@ -335,9 +361,7 @@ def run(
         raise ConfigurationError(f"K must be >= 1, got {K}")
     if metric_stride < 1:
         raise ConfigurationError(f"metric_stride must be >= 1, got {metric_stride}")
-    batch = [seed] if seeds is None else list(seeds)
-    if not batch:
-        raise ConfigurationError("seeds must hold at least one seed")
+    rng = ReplicaStreams([seed] if seeds is None else seeds)
     single_agent = algorithm in ("scgd", "scsc")
     dscgd = algorithm in ("gp-dscgd", "gt-dscgd")
     if single_agent and problem.n != 1:
@@ -347,37 +371,22 @@ def run(
 
     u = weights.u if algorithm == "ab-dscsc" else np.ones(problem.n)  # n=1 when single-agent
 
-    results = [None] * len(batch)
-    pending = list(range(len(batch)))  # positions in `batch` still to run
+    records = {s: RunRecord(config=dict(config or {}), seed=s) for s in rng.seeds}
     start = time.perf_counter()
-    while pending:
-        rng = ReplicaStreams([batch[i] for i in pending])
-        records = [RunRecord(config=dict(config or {}), seed=s) for s in rng.seeds]
-        try:
-            for k, state in enumerate(rounds(algorithm, problem, schedule, K, weights, rng, eta, gamma)):
-                if k % metric_stride:
-                    continue
-                j = max(k, 1)  # the start's row (k=0) takes alpha_1 and beta_1
-                alpha_k, beta_k = (eta if dscgd else schedule.alpha(j)), schedule.beta_of(j)
-                for r, record in enumerate(records):
-                    x, z = state.x[:, r], state.z[:, r]
-                    record.rows.append(collect_row(state.k, alpha_k, beta_k, x, z, problem, u))
-        except DivergenceError as err:
-            # the diverged seed keeps its rows so far; the others start again from k=1,
-            # which repeats their bits, since a replica's bits do not depend on its batch
-            r = rng.seeds.index(err.seed)
-            records[r].status = f"diverged@{err.k}"
-            err.record = records[r]
-            results[pending.pop(r)] = err
-        else:
-            for i, record in zip(pending, records):
-                results[i] = record
-            pending = []
-    share = (time.perf_counter() - start) / len(batch)
-    for result in results:
-        (result.record if isinstance(result, DivergenceError) else result).wall_seconds = share
-    if seeds is not None:
-        return results
-    if isinstance(results[0], DivergenceError):
-        raise results[0]
-    return results[0]
+    for k, state in enumerate(rounds(algorithm, problem, schedule, K, weights, rng, eta, gamma)):
+        if k % metric_stride:
+            continue
+        j = max(k, 1)  # the start's row (k=0) takes alpha_1 and beta_1
+        alpha_k, beta_k = (eta if dscgd else schedule.alpha(j)), schedule.beta_of(j)
+        for r, s in enumerate(rng.seeds):
+            x, z = state.x[:, r], state.z[:, r]
+            records[s].rows.append(collect_row(state.k, alpha_k, beta_k, x, z, problem, u))
+    share = (time.perf_counter() - start) / len(records)
+    for record in records.values():
+        record.wall_seconds = share
+    for err in rng.diverged:  # a diverged seed keeps its rows so far, as its partial record
+        err.record, records[err.seed] = records[err.seed], err
+        err.record.status = f"diverged@{err.k}"
+    if seeds is None and rng.diverged:
+        raise rng.diverged[0]
+    return list(records.values()) if seeds is not None else records[seed]

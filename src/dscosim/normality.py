@@ -88,12 +88,16 @@ def collect_delta(replications, problem, weights, schedule, k, agent, base_seed)
     top = np.zeros((replications, problem.d))
     bottom = np.zeros((replications, problem.d))
     for state in rounds("ab-dscsc", problem, schedule, k - 1, weights, rng):
+        if rng.diverged:
+            break
         top += state.x[i0] - xstar
         gap = state.z - problem.true_g(state.x)  # (n, R, p)
         # one product for all agents, added agent by agent: a reduce over agents would
         # change the float order
         for contribution in agent_matvec(projs, gap):
             bottom += contribution
+    if rng.diverged:  # the first replica to cross a guard, in seed order within its check
+        raise rng.diverged[0]
     scale = 1.0 / np.sqrt(k)
     return [
         DeltaSample(top=scale * top[r], bottom=scale * bottom[r], agent_index=agent, k=k, seed=seed)

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from dscosim import algorithms
 from dscosim.algorithms import (
     ALGORITHMS,
     NetworkState,
@@ -204,12 +207,31 @@ class TestAbStep:
     def test_guard_boundary_values_fail(self, bad, batched):
         arr = np.full((4, 3, 2) if batched else (4, 3), 1e-300)
         arr[2, 1] = bad  # agent 3; replica 2 (seed 12) when batched
-        rng = ReplicaStreams([11, 12, 13]) if batched else run_stream(0)  # (n, d): one Generator
-        with pytest.raises(DivergenceError) as err:
-            _check_finite(arr, 5, "iterate", rng)
-        suffix = ", seed 12" if batched else ""
-        assert str(err.value) == f"iterate non-finite or beyond 1e+06 at k=5, agent 3{suffix}"
-        assert (err.value.k, err.value.agent, err.value.seed) == (5, 3, 12 if batched else None)
+        if not batched:  # (n, d): one Generator, and the guard raises
+            with pytest.raises(DivergenceError) as err:
+                _check_finite(arr, 5, "iterate", run_stream(0))
+            assert str(err.value) == "iterate non-finite or beyond 1e+06 at k=5, agent 3"
+            assert (err.value.k, err.value.agent, err.value.seed) == (5, 3, None)
+            return
+        # with streams the guard flags the replica and zeroes its entries; the others keep theirs
+        rng, before = ReplicaStreams([11, 12, 13]), arr.copy()
+        _check_finite(arr, 5, "iterate", rng)
+        [err] = rng.diverged
+        assert str(err) == "iterate non-finite or beyond 1e+06 at k=5, agent 3, seed 12"
+        assert (err.k, err.agent, err.seed) == (5, 3, 12)
+        assert arr[:, 1].tobytes() == np.zeros((4, 2)).tobytes()
+        assert arr[:, [0, 2]].tobytes() == before[:, [0, 2]].tobytes()
+
+    def test_init_flags_a_bad_replica_of_a_read_only_start(self):
+        prob = make_quadratic(4, 2, seed=0)
+        x0 = np.ones((4, 3, 2))
+        x0[1, 2, 0] = np.inf  # agent 2 of replica 2 (seed 13)
+        x0.flags.writeable = False
+        rng = ReplicaStreams([11, 12, 13])
+        state = ab_dscsc_init(prob, x0, rng)
+        [err] = rng.diverged
+        assert str(err) == "initial iterate non-finite or beyond 1e+06 at k=1, agent 2, seed 13"
+        assert x0[1, 2, 0] == np.inf and not state.x[:, 2].any() and (state.x[:, :2] == 1.0).all()
 
     @pytest.mark.parametrize("n,extra", [(3, 0), (5, 3), (10, 5)])
     def test_tracker_conservation(self, n, extra):
@@ -348,14 +370,21 @@ class TestRunDriver:
             run("ab-dscsc", prob, sched(), 10, weights=ring_weights(3), metric_stride=stride)
 
     @pytest.mark.parametrize(
-        "seeds",
-        [{"seed": -1}, {"seeds": [0, 2**64]}, {"seed": 1.5}, {"seeds": [2, np.float64(3)]}],
-        ids=["minus-one", "2**64", "one-and-a-half", "float64"],
+        "seeds,match",
+        [
+            ({"seed": -1}, r"must lie in \[0, 2\*\*64\)"),
+            ({"seeds": [0, 2**64]}, r"must lie in \[0, 2\*\*64\)"),
+            ({"seed": 1.5}, r"must lie in \[0, 2\*\*64\)"),
+            ({"seeds": [2, np.float64(3)]}, r"must lie in \[0, 2\*\*64\)"),
+            ({"seeds": [4, 2, 4]}, r"seeds must be distinct, got \[4, 2, 4\]"),
+        ],
+        ids=["minus-one", "2**64", "one-and-a-half", "float64", "repeated"],
     )
-    def test_seed_not_a_uint64_rejected(self, seeds):
-        # each seed is a Philox key: -1 and 2**64 overflowed it, and 1.5 ran seed 1's stream
+    def test_seed_not_a_uint64_rejected(self, seeds, match):
+        # each seed is a Philox key: -1 and 2**64 overflowed it, and 1.5 ran seed 1's stream;
+        # records and flagged replicas are keyed by seed, so a seed is given once
         prob = make_quadratic(3, 2, seed=0)
-        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 2\*\*64\)"):
+        with pytest.raises(ConfigurationError, match=match):
             run("ab-dscsc", prob, sched(), 10, weights=ring_weights(3), **seeds)
 
     def test_seed_bounds_accepted(self):
@@ -489,6 +518,73 @@ def csv_lines(record):
     return [ln for ln in record_to_csv(record).splitlines() if "wall_seconds" not in ln]
 
 
+def assert_serial_bytes(algorithm, make, schedule, K, wp, seeds, results):
+    """Assert that each seed's entry of ``run``'s ``results`` has the CSV bytes and the
+    error of its serial run on a fresh ``make()``; return the seeds that diverged."""
+    diverged = set()
+    for seed, result in zip(seeds, results):
+        expected, err = serial_run(algorithm, make(), schedule, K, wp, seed, 3)
+        if err is None:
+            assert csv_lines(result) == csv_lines(expected)
+            continue
+        diverged.add(seed)
+        assert csv_lines(result.record) == csv_lines(expected)
+        assert str(result) == f"{err}, seed {seed}"
+        assert (result.k, result.agent, result.seed) == (err.k, err.agent, seed)
+    return diverged
+
+
+class PlannedDivergence:
+    """A 4-agent quadratic whose stochastic gradient is 1 % of the quadratic's, except
+    that seed s's replica takes the value ``plan[s][1]`` at its ``plan[s][0]``-th
+    ``sample_grad_all`` call (call 0 at the start, call k in round k).  Under a stepsize
+    of 2, a value of 6e5 passes the tracker guard and sends the next round's iterate
+    beyond 1e6; inf fails the tracker guard at once.  An instance serves one run."""
+
+    def __init__(self, plan):
+        self.base = make_quadratic(4, 2, seed=1, noise_inner=0.2, noise_outer=0.2)
+        self.plan, self.calls = plan, 0
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def sample_grad_all(self, X, Z, rng):
+        h = 0.01 * self.base.sample_grad_all(X, Z, rng)
+        streams = getattr(rng, "streams", [rng])  # a serial run has one Generator
+        for r, g in enumerate(streams):
+            seed = int(g.bit_generator.state["state"]["key"][0])  # the Philox key
+            call, value = self.plan.get(seed, (None, None))
+            if call == self.calls:
+                h.reshape(len(h), len(streams), -1)[:, r] = value
+        self.calls += 1
+        return h
+
+
+ONCE_PER_ROUND = {  # make, stepsize, methods, K, seeds, {seed: (check, k) or None}
+    # the MAML batch of test_diverged_seeds_keep_their_serial_partial_records
+    "maml": (
+        lambda: make_sinusoid_maml(10, 20, 4, 0.01, seed=4),
+        Polynomial(0.3, 1.0, 0.3),
+        ["ab-dscsc", "gp-dscgd", "gt-dscgd"], 20, [5, 6, 7, 8, 9],
+        {5: None, 8: None, 9: None},
+    ),
+    # seed 7 in round 1; in round 4 seed 4 crosses the iterate guard, then seed 6 the tracker's
+    "planned": (
+        lambda: PlannedDivergence({4: (3, 6e5), 6: (4, np.inf), 7: (1, np.inf)}),
+        Polynomial(2.0, 0.0, 0.0),
+        ["ab-dscsc"], 8, [3, 4, 5, 6, 7],
+        {4: ("iterate", 5), 6: ("gradient tracker", 5), 7: ("gradient tracker", 2)},
+    ),
+    # every seed diverges, the last in round K (its state K + 1)
+    "all-diverge": (
+        lambda: PlannedDivergence({3: (2, np.inf), 4: (4, 6e5), 5: (6, np.inf)}),
+        Polynomial(2.0, 0.0, 0.0),
+        ["ab-dscsc"], 6, [3, 4, 5],
+        {3: ("gradient tracker", 3), 4: ("iterate", 6), 5: ("gradient tracker", 7)},
+    ),
+}
+
+
 BATCH_FAMILIES = {
     "quadratic": lambda n: make_quadratic(n, 3, seed=1, noise_inner=0.2, noise_outer=0.2),
     "quadratic-d5": lambda n: make_quadratic(n, 5, seed=2, noise_inner=0.2, noise_outer=0.2),
@@ -507,19 +603,11 @@ class TestSeedBatches:
         n = problem.n
         g = generate_ring_plus_random(n, n // 2, 0) if n > 1 else DirectedGraph(1)
         wp = build_weight_pair(g, g)
-        algorithms = ["ab-dscsc", "gp-dscgd", "gt-dscgd"] + (["scsc", "scgd"] if n == 1 else [])
+        methods = ["ab-dscsc", "gp-dscgd", "gt-dscgd"] + (["scsc", "scgd"] if n == 1 else [])
         diverged = set()
-        for algorithm in algorithms:
+        for algorithm in methods:
             results = run(algorithm, problem, schedule, K, weights=wp, seeds=seeds, metric_stride=3)
-            for seed, result in zip(seeds, results):
-                expected, err = serial_run(algorithm, problem, schedule, K, wp, seed, 3)
-                if err is None:
-                    assert csv_lines(result) == csv_lines(expected)
-                    continue
-                diverged.add(seed)
-                assert csv_lines(result.record) == csv_lines(expected)
-                assert str(result) == f"{err}, seed {seed}"
-                assert (result.k, result.agent, result.seed) == (err.k, err.agent, seed)
+            diverged |= assert_serial_bytes(algorithm, lambda: problem, schedule, K, wp, seeds, results)
         return diverged
 
     @pytest.mark.parametrize("n", [1, 10, 60, 100])
@@ -532,6 +620,32 @@ class TestSeedBatches:
         schedule = StepSchedule(Polynomial(0.3, 1.0, 0.3), beta=1.0)
         problem = make_sinusoid_maml(10, 20, 4, 0.01, seed=4)
         assert self.check(problem, schedule, 20, [5, 6, 7, 8, 9]) == {5, 8, 9}
+
+    @pytest.mark.parametrize("batch", sorted(ONCE_PER_ROUND))
+    def test_every_round_runs_once(self, monkeypatch, batch):
+        """A diverged seed leaves the batch where it stands: the batch takes each of its K
+        rounds once, and every seed keeps the bytes and the error of its serial run."""
+        make, rule, methods, K, seeds, diverged = ONCE_PER_ROUND[batch]
+        schedule = StepSchedule(rule, beta=1.0)
+        n = make().n
+        wp = ring_weights(n, n // 2)
+        steps = []  # patched by name, as the benchmark's tracer patches them
+        for name in ("ab_dscsc_step", "dscgd_step"):
+            step = getattr(algorithms, name)
+            monkeypatch.setattr(algorithms, name, lambda *args, step=step: steps.append(1) or step(*args))
+        found = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for algorithm in methods:
+                steps.clear()
+                results = run(algorithm, make(), schedule, K, weights=wp, seeds=seeds, metric_stride=3)
+                assert len(steps) == K
+                found |= assert_serial_bytes(algorithm, make, schedule, K, wp, seeds, results)
+                for err in results:
+                    if isinstance(err, DivergenceError) and diverged[err.seed] is not None:
+                        what, k = diverged[err.seed]
+                        assert str(err).startswith(f"{what} non-finite or beyond 1e+06 at k={k},")
+        assert found == set(diverged)
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):
