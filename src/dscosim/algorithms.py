@@ -44,6 +44,10 @@ from .topology import underlying_metropolis
 
 DIVERGENCE_LIMIT = 1e6
 
+# run() evaluates its metric rows in batches: a batch holds row points until their x and
+# z take this many bytes (at least one point, all of its replicas).
+ROW_BATCH_BYTES = 256 * 1024
+
 ALGORITHMS = ("ab-dscsc", "scgd", "scsc", "gp-dscgd", "gt-dscgd")
 
 
@@ -331,6 +335,24 @@ def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
         yield state
 
 
+def _flush_rows(held, seeds, records, problem, u):
+    """Evaluate the held row points in one ``collect_row`` call and empty ``held``.
+
+    The stack is point-major, with the replicas of a point in seed order, so each
+    seed's rows reach its record in k order.  A step never writes a yielded state's
+    arrays, so the held x and z are the states as they were yielded.
+    """
+    if not held:
+        return
+    ks, alphas, betas, xs, zs = zip(*held)
+    x = np.concatenate([a.swapaxes(0, 1) for a in xs])  # (P, n, d), P = points × replicas
+    z = np.concatenate([a.swapaxes(0, 1) for a in zs])
+    each = ([v for v in col for _ in seeds] for col in (ks, alphas, betas))  # the values as given
+    for i, row in enumerate(collect_row(*each, x, z, problem, u)):
+        records[seeds[i % len(seeds)]].rows.append(row)
+    held.clear()
+
+
 def run(
     algorithm,
     problem,
@@ -347,7 +369,10 @@ def run(
     """Execute K synchronous rounds; returns a RunRecord with metric rows.
 
     Metrics are recorded at k=1 and then every `metric_stride` rounds.  On
-    divergence the partial record is attached to the raised error.
+    divergence the partial record is attached to the raised error.  The row points
+    are held, as references to the yielded x and z, and evaluated in one
+    ``collect_row`` call per batch: when they fill ``ROW_BATCH_BYTES``, before a
+    diverged replica leaves the batch, and after the last round.
 
     Given a list of ``seeds`` instead of one ``seed``, the seeds advance as one
     replica-batched state, in one pass, and the result is a list in seed order:
@@ -372,15 +397,19 @@ def run(
     u = weights.u if algorithm == "ab-dscsc" else np.ones(problem.n)  # n=1 when single-agent
 
     records = {s: RunRecord(config=dict(config or {}), seed=s) for s in rng.seeds}
+    held, held_seeds = [], rng.seeds  # the row points not yet evaluated, all on `held_seeds`
     start = time.perf_counter()
     for k, state in enumerate(rounds(algorithm, problem, schedule, K, weights, rng, eta, gamma)):
+        if rng.seeds != held_seeds:  # a replica was dropped: the held points have it
+            _flush_rows(held, held_seeds, records, problem, u)
+            held_seeds = rng.seeds
         if k % metric_stride:
             continue
         j = max(k, 1)  # the start's row (k=0) takes alpha_1 and beta_1
-        alpha_k, beta_k = (eta if dscgd else schedule.alpha(j)), schedule.beta_of(j)
-        for r, s in enumerate(rng.seeds):
-            x, z = state.x[:, r], state.z[:, r]
-            records[s].rows.append(collect_row(state.k, alpha_k, beta_k, x, z, problem, u))
+        held.append((state.k, eta if dscgd else schedule.alpha(j), schedule.beta_of(j), state.x, state.z))
+        if len(held) * (state.x.nbytes + state.z.nbytes) >= ROW_BATCH_BYTES:
+            _flush_rows(held, held_seeds, records, problem, u)
+    _flush_rows(held, held_seeds, records, problem, u)
     share = (time.perf_counter() - start) / len(records)
     for record in records.values():
         record.wall_seconds = share

@@ -9,39 +9,48 @@ from .records import MetricRow
 
 
 def collect_row(k, alpha_k, beta_k, x, z, problem, u):
-    """MetricRow for the current state; missing capabilities give None cells.
+    """MetricRows for a stack of states; missing capabilities give None cells.
+
+    x ``(P, n, d)`` and z ``(P, n, p)`` stack P points, one state each, with k,
+    alpha_k and beta_k sequences of P values; the P rows come back in order.  One
+    ``(n, d)`` state with scalar k, alpha_k and beta_k is the stack of one point,
+    and gives its one row.  A row's bits do not depend on the other points of its
+    stack: each is reduced on its own axes, as the one-point expressions are.
 
     consensus_err sums ||x_i - xbar||^2 about xbar = (u @ x) / n, the average
     under the left Perron weights u; tracking_err sums ||z_i - g_i(x_i)||^2 in
-    agent order. ``true_h`` is called n + 1 times: at x*, then at each agent in
-    order. A strided x is copied first: ``u @ x`` sums a strided x in another
-    order; z only enters an elementwise subtraction, whose bits do not depend
-    on layout. The reduces are np.add.reduce, the pairwise sum np.sum and np.mean run
-    (np.mean then divides by the count), without their Python wrappers.
+    agent order. ``true_h`` is called n + 1 times per call, whatever P: at x*,
+    then at each agent in order, on that agent's ``(P, d)`` iterates.  x is copied
+    to one contiguous stack first: ``u @ x`` sums a strided x in another order; z
+    only enters an elementwise subtraction, whose bits do not depend on layout.
+    The reduces are np.add.reduce, the pairwise sum np.sum and np.mean run (np.mean
+    then divides by the count), without their Python wrappers.
     """
+    if x.ndim == 2:
+        return collect_row([k], [alpha_k], [beta_k], x[None], z[None], problem, u)[0]
     x = np.ascontiguousarray(x)
-    n = len(x)
-    xbar = (u @ x) / n
-    row = {
+    P, n = x.shape[:2]
+    xbar = (u @ x) / n  # (P, d)
+    cols = {
         "k": k,
         "alpha_k": alpha_k,
         "beta_k": beta_k,
-        "consensus_err": float(np.add.reduce((x - xbar) ** 2, axis=None)),
+        "consensus_err": np.add.reduce(((x - xbar[:, None]) ** 2).reshape(P, -1), axis=1).tolist(),
     }
     if problem.has_true_g:
-        tracking = 0.0
-        for v in np.add.reduce((z - problem.true_g(x)) ** 2, axis=1).tolist():
-            tracking += v  # left to right in agent order; np.sum would add pairwise
-        row["tracking_err"] = tracking
+        agent_sums = np.add.reduce((z - problem.true_g(x.swapaxes(0, 1)).swapaxes(0, 1)) ** 2, axis=2)
+        # left to right in agent order (np.sum would add pairwise); sums of squares hold no -0.0
+        cols["tracking_err"] = np.add.accumulate(agent_sums, axis=1)[:, -1].tolist()
     if problem.has_true_grad:
-        row["grad_norm_sq"] = float(np.add.reduce(problem.true_grad_h(xbar) ** 2))
+        cols["grad_norm_sq"] = np.add.reduce(problem.true_grad_h(xbar) ** 2, axis=1).tolist()
     if problem.has_optimum:
         xstar = problem.optimum()
-        row["opt_gap_avg"] = float(np.add.reduce(np.add.reduce((x - xstar) ** 2, axis=1)) / n)
+        gap = np.add.reduce((x - xstar) ** 2, axis=2)  # (P, n)
+        cols["opt_gap_avg"] = (np.add.reduce(gap, axis=1) / n).tolist()
         hstar = problem.true_h(xstar)
-        h = np.add.reduce(np.array([problem.true_h(xi) for xi in x]))
-        row["residual_avg"] = float(h / n - hstar)
-    return MetricRow(**row)
+        h = np.stack([problem.true_h(x[:, i]) for i in range(n)], axis=1)  # (P, n)
+        cols["residual_avg"] = (np.add.reduce(h, axis=1) / n - hstar).tolist()
+    return [MetricRow(**dict(zip(cols, values))) for values in zip(*cols.values())]
 
 
 def fit_rate_slope(record, column, k_range):

@@ -70,6 +70,18 @@ def agent_matvec(M, X):
     return np.matmul(per_agent(M, X[..., None]), X[..., None])[..., 0]
 
 
+def each_point(form, x):
+    """``form`` at each point of the stack x ``(..., d)``, one call per point, stacked.
+
+    For a shape where einsum sums one point's products in an order that no stacked
+    einsum shares: with one point's output a single element, einsum may group its
+    products (the quadratic form at n = 1, d = 2) or split a long sum into buffer-sized
+    parts (the logistic gradient at d = 1, n·m > 8192).
+    """
+    values = np.stack([form(p) for p in x.reshape(-1, x.shape[-1])])
+    return values.reshape(x.shape[:-1] + values.shape[1:])
+
+
 def kept_map(cache, inner_map, X):
     """``inner_map(X)``, kept in ``cache`` with X for the next call.
 
@@ -146,9 +158,13 @@ class ProblemOracle:
         raise CapabilityError(f"{type(self).__name__} has no closed-form inner Jacobian")
 
     def true_grad_h(self, x):
+        """Gradient of h at x ``(d,)``, or at each point of a stack ``(..., d)``, each with
+        the bits of its own call."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form gradient")
 
     def true_h(self, x):
+        """h at x ``(d,)``, a float64, or at each point of a stack ``(..., d)``, an array of
+        the stack's leading shape, each with the bits of its own call."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form objective")
 
     def optimum(self):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle, agent_matvec, einsum, per_agent
+from .base import ProblemOracle, agent_matvec, each_point, einsum, per_agent
 
 
 def _sigmoid(z):
@@ -105,15 +105,17 @@ class LogisticProblem(ProblemOracle):
         return -self.b[:, :, None] * self._mean_features
 
     def true_grad_h(self, x):
+        if self.d == 1 and x.ndim > 1:
+            return each_point(self.true_grad_h, x)
         J = self._mean_jacobians
-        g = einsum("nmd,d->nm", J, x)
+        g = einsum("nmd,...d->...nm", J, x)
         w = _sigmoid(g) / self.m
-        return einsum("nmd,nm->d", J, w) / self.n
+        return einsum("nmd,...nm->...d", J, w) / self.n
 
     def true_h(self, x):
-        J = self._mean_jacobians
-        g = einsum("nmd,d->nm", J, x)
-        return float(np.add.reduce(np.logaddexp(0.0, g), axis=None) / g.size)  # .mean() without its wrapper
+        g = einsum("nmd,...d->...nm", self._mean_jacobians, x)
+        loss = np.logaddexp(0.0, g).reshape(g.shape[:-2] + (-1,))
+        return np.add.reduce(loss, axis=-1) / loss.shape[-1]  # .mean() over (n, m) without its wrapper
 
     def optimum(self):
         """Minimizer of the deterministic mean objective (centralized solve).

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle, agent_matvec, einsum, kept_map
+from .base import NormalityData, ProblemOracle, agent_matvec, each_point, einsum, kept_map
 
 # The d = 2 products run as two multiplies from this many replicas on, where they beat einsum
 # on every measured shape (CHANGES.md).  R = 1, where einsum takes a fast path, and other d
@@ -135,16 +135,20 @@ class QuadraticProblem(ProblemOracle):
         return np.linalg.solve(self._hessian, -self._shift)
 
     def true_grad_h(self, x):
-        return (self._hessian @ x + self._shift) / self.n
+        # one stacked (d, d) @ (d, 1) product per point; X @ H.T and an einsum sum in other orders
+        return (np.matmul(self._hessian, x[..., None])[..., 0] + self._shift) / self.n
 
     def true_h(self, x):
+        if self.n == 1 and x.ndim > 1:
+            return each_point(self.true_h, x)
         # The quadratic form runs on agent-last copies of Q and g: the einsum still
         # sums each agent's d^2 products from zero in (i, j) order, so the bits are
         # those of "ni,nij,nj->n", but its inner loop runs over the n agents, not d.
-        g = einsum("nij,j->ni", self.M, x)
-        g_last = np.ascontiguousarray(g.T)
-        vals = 0.5 * einsum("in,ijn,jn->n", g_last, self._q_last, g_last) + einsum("ni,ni->n", self.c, g)
-        return float(np.add.reduce(vals) / len(vals))  # vals.mean() without its wrapper
+        g = einsum("nij,...j->...ni", self.M, x)
+        g_last = np.ascontiguousarray(g.swapaxes(-1, -2))
+        vals = 0.5 * einsum("...in,ijn,...jn->...n", g_last, self._q_last, g_last)
+        vals += einsum("ni,...ni->...n", self.c, g)
+        return np.add.reduce(vals, axis=-1) / self.n  # vals.mean(axis=-1) without its wrapper
 
     def optimum(self):
         return self._optimum

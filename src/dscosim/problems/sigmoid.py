@@ -10,6 +10,7 @@ which makes this family the workhorse for stationarity-rate experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,17 +41,27 @@ class SigmoidQuadraticProblem(ProblemOracle):
     def d(self):
         return self.W.shape[2]
 
+    @cached_property
+    def _draw_size(self):
+        return self.n, self.p
+
+    @cached_property
+    def _noise_scales(self):
+        """sigma_phi and sigma_zeta as 0-d arrays, which a ufunc takes without converting a
+        Python float each call; the product is the same float64 multiply."""
+        return np.array(self.sigma_phi), np.array(self.sigma_zeta)
+
     def _inner_map(self, X):
         return np.tanh(einsum("npd,n...d->n...p", self.W, X))
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
-        phi = rng.normal(size=(self.n, self.p)) * self.sigma_phi
+        phi = rng.normal(size=self._draw_size) * self._noise_scales[0]
         # The old point first: it is the last round's new point, whose image is kept.
         old = kept_map(self._cache, self._inner_map, X_old)
         return kept_map(self._cache, self._inner_map, X_new) + phi, old + phi
 
     def sample_grad_all(self, X, Z, rng):
-        zeta = rng.normal(size=(self.n, self.p)) * self.sigma_zeta
+        zeta = rng.normal(size=self._draw_size) * self._noise_scales[1]
         s = kept_map(self._cache, self._inner_map, X)  # the inner pair just mapped X
         resid = Z - per_agent(self.t, Z) + zeta
         return einsum("npd,n...p,n...p->n...d", self.W, 1.0 - s**2, resid)
@@ -59,12 +70,13 @@ class SigmoidQuadraticProblem(ProblemOracle):
         return np.tanh(agent_matvec(self.W, X))
 
     def true_grad_h(self, x):
-        s = np.tanh(einsum("npd,d->np", self.W, x))
-        return einsum("npd,np,np->d", self.W, 1.0 - s**2, s - self.t) / self.n
+        s = np.tanh(einsum("npd,...d->...np", self.W, x))
+        return einsum("npd,...np,...np->...d", self.W, 1.0 - s**2, s - self.t) / self.n
 
     def true_h(self, x):
-        s = np.tanh(einsum("npd,d->np", self.W, x))
-        return float(0.5 * np.add.reduce((s - self.t) ** 2, axis=None) / self.n)  # np.sum without its wrapper
+        s = np.tanh(einsum("npd,...d->...np", self.W, x))
+        sq = ((s - self.t) ** 2).reshape(s.shape[:-2] + (-1,))
+        return 0.5 * np.add.reduce(sq, axis=-1) / self.n  # np.sum over (n, p) without its wrapper
 
 
 def make_sigmoid_quadratic(n, d, seed, p=None, noise_inner=0.1, noise_outer=0.1):

@@ -518,12 +518,12 @@ def csv_lines(record):
     return [ln for ln in record_to_csv(record).splitlines() if "wall_seconds" not in ln]
 
 
-def assert_serial_bytes(algorithm, make, schedule, K, wp, seeds, results):
+def assert_serial_bytes(algorithm, make, schedule, K, wp, seeds, results, stride=3):
     """Assert that each seed's entry of ``run``'s ``results`` has the CSV bytes and the
     error of its serial run on a fresh ``make()``; return the seeds that diverged."""
     diverged = set()
     for seed, result in zip(seeds, results):
-        expected, err = serial_run(algorithm, make(), schedule, K, wp, seed, 3)
+        expected, err = serial_run(algorithm, make(), schedule, K, wp, seed, stride)
         if err is None:
             assert csv_lines(result) == csv_lines(expected)
             continue
@@ -581,6 +581,27 @@ ONCE_PER_ROUND = {  # make, stepsize, methods, K, seeds, {seed: (check, k) or No
         Polynomial(2.0, 0.0, 0.0),
         ["ab-dscsc"], 6, [3, 4, 5],
         {3: ("gradient tracker", 3), 4: ("iterate", 6), 5: ("gradient tracker", 7)},
+    ),
+}
+
+
+HELD_BATCHES = {  # make, stepsize, methods, K, seeds, ROW_BATCH_BYTES, collect_row stack sizes
+    # a row every round; x and z of a point take 640 B at R = 5, so a batch holds 4 points,
+    # then 5 at R = 4 and 10 at R = 2: seed 7's drop after the start flushes that one point,
+    # and the drop of seeds 4 and 6 in round 4 flushes rounds 1-3, three points of five
+    "drop-inside-a-batch": (
+        ONCE_PER_ROUND["planned"][0], Polynomial(2.0, 0.0, 0.0), ["ab-dscsc"], 8, [3, 4, 5, 6, 7],
+        4 * 640, [5, 12, 10],
+    ),
+    # 11 rows in batches of 4 points (192 B each at R = 2)
+    "partial-last-batch": (
+        lambda: make_quadratic(3, 2, seed=5, noise_inner=0.2, noise_outer=0.2), Polynomial(0.1, 1.0, 0.6),
+        ["ab-dscsc", "gp-dscgd", "gt-dscgd"], 10, [1, 2], 4 * 192, [8, 8, 6],
+    ),
+    # every point alone
+    "one-point-batches": (
+        lambda: make_quadratic(3, 2, seed=5, noise_inner=0.2, noise_outer=0.2), Polynomial(0.1, 1.0, 0.6),
+        ["ab-dscsc", "gp-dscgd", "gt-dscgd"], 4, [1, 2], 1, [2] * 5,
     ),
 }
 
@@ -646,6 +667,23 @@ class TestSeedBatches:
                         what, k = diverged[err.seed]
                         assert str(err).startswith(f"{what} non-finite or beyond 1e+06 at k={k},")
         assert found == set(diverged)
+
+    @pytest.mark.parametrize("batch", sorted(HELD_BATCHES))
+    def test_held_rows_equal_serial_rows(self, monkeypatch, batch):
+        """``run`` holds its row points and evaluates them in stacks of ``ROW_BATCH_BYTES``:
+        a drop flushes the points held before it, the last batch may be short, and a
+        batch may hold one point; every seed keeps the bytes and the error of its serial run."""
+        make, rule, methods, K, seeds, batch_bytes, sizes = HELD_BATCHES[batch]
+        monkeypatch.setattr(algorithms, "ROW_BATCH_BYTES", batch_bytes)
+        stacks = []  # patched by name, as the benchmark's tracer patches it
+        monkeypatch.setattr(algorithms, "collect_row", lambda *args: stacks.append(len(args[3])) or collect_row(*args))
+        schedule = StepSchedule(rule, beta=1.0)
+        wp = ring_weights(make().n, make().n // 2)
+        for algorithm in methods:
+            stacks.clear()
+            results = run(algorithm, make(), schedule, K, weights=wp, seeds=seeds, metric_stride=1)
+            assert stacks == sizes
+            assert_serial_bytes(algorithm, make, schedule, K, wp, seeds, results, stride=1)
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):

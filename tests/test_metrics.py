@@ -160,6 +160,48 @@ class TestCollectRow:
                 collect_row(7, 0.1, 0.2, *copy, prob, u)
             )
 
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_stack_rows_equal_one_point_rows(self, case):
+        """A stack's rows are its points' one-point rows, whatever the other points are."""
+        prob = ROW_CASES[case]()
+        rng = np.random.default_rng(8)
+        n = prob.n
+        u = rng.uniform(0.5, 1.5, size=n)
+        u *= n / u.sum()
+        p = prob.true_g(np.zeros((n, prob.d))).shape[1] if prob.has_true_g else prob.d
+        X, Y = rng.normal(size=(2, 7, n, prob.d))
+        Z, W = rng.normal(size=(2, 7, n, p))
+        Y[3], W[3] = X[3], Z[3]
+        ks, alphas, betas = list(range(1, 8)), [0.1 / k for k in range(1, 8)], [0.2] * 7
+        rows = collect_row(ks, alphas, betas, X, Z, prob, u)
+        assert row_bits(rows[3]) == row_bits(collect_row(ks, alphas, betas, Y, W, prob, u)[3])
+        strided = np.ascontiguousarray(X.swapaxes(0, 1)).swapaxes(0, 1)  # as run() holds the states
+        assert [row_bits(r) for r in collect_row(ks, alphas, betas, strided, Z, prob, u)] == [
+            row_bits(r) for r in rows
+        ]
+        for q, row in enumerate(rows):
+            assert row_bits(row) == row_bits(collect_row(ks[q], alphas[q], 0.2, X[q], Z[q], prob, u))
+
+    def test_true_h_at_the_optimum_then_once_per_agent_on_the_stack(self):
+        prob = make_quadratic(4, 3, seed=2)
+        shapes = []
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(prob, name)
+
+            def true_h(self, x):
+                shapes.append(x.shape)
+                return prob.true_h(x)
+
+        rng = np.random.default_rng(0)
+        X, Z = rng.normal(size=(2, 5, 4, 3))
+        collect_row(list(range(5)), [0.1] * 5, [0.2] * 5, X, Z, Counting(), np.ones(4))
+        assert shapes == [(3,)] + [(5, 3)] * 4
+        shapes.clear()
+        collect_row(1, 0.1, 0.2, X[0], Z[0], Counting(), np.ones(4))
+        assert shapes == [(3,)] + [(1, 3)] * 4
+
     @pytest.mark.parametrize("case", [c for c in sorted(ROW_CASES) if "quadratic" in c or "logistic" in c])
     def test_true_h_bytes_equal_mean(self, case):
         prob = ROW_CASES[case]()

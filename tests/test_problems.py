@@ -144,6 +144,56 @@ class TestStackedTrueG:
         assert G.shape == expected.shape and G.tobytes() == expected.tobytes()
 
 
+CLOSED_FORM_FAMILIES = {
+    "quadratic": lambda n, d: make_quadratic(n, d, seed=n + d),
+    "logistic": lambda n, d: make_logistic_cso(n, 20, d, seed=n, feature_scale=4.0, label_noise=4.0),
+    "sigmoid": lambda n, d: make_sigmoid_quadratic(n, d, seed=n, p=d + 1),
+}
+
+
+class TestStackedClosedForms:
+    """``true_h`` and ``true_grad_h`` on a ``(P, d)`` stack against one call per point."""
+
+    @staticmethod
+    def assert_stack_equals_points(prob, X):
+        H, G = prob.true_h(X), prob.true_grad_h(X)
+        assert H.shape == X.shape[:-1] and G.shape == X.shape
+        for q, x in enumerate(X):
+            x = x.copy()
+            assert H[q].tobytes() == np.float64(prob.true_h(x)).tobytes(), q
+            assert G[q].tobytes() == prob.true_grad_h(x).tobytes(), q
+
+    @pytest.mark.parametrize("n", [3, 10, 60, 500, 1000])
+    @pytest.mark.parametrize("family", sorted(CLOSED_FORM_FAMILIES))
+    def test_stack_bytes_equal_per_point_calls(self, family, n):
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 5):
+            prob = CLOSED_FORM_FAMILIES[family](n, d)
+            for P in (1, 2, 7, 64):
+                self.assert_stack_equals_points(prob, rng.normal(scale=3.0, size=(P, d)))
+            self.assert_stack_equals_points(prob, np.zeros((2, d)))
+
+    @pytest.mark.parametrize(
+        "family,n,d", [("quadratic", 1, 2), ("quadratic", 1, 5), ("logistic", 500, 1), ("logistic", 1000, 1)]
+    )
+    def test_point_by_point_shapes(self, family, n, d):
+        # one agent's quadratic form at d = 2, and a logistic gradient over n·m > 8192 terms at
+        # d = 1: einsum sums one point in an order that no stack shares, so these go point by point
+        prob = CLOSED_FORM_FAMILIES[family](n, d)
+        X = np.random.default_rng(n + d).normal(scale=3.0, size=(64, d))
+        self.assert_stack_equals_points(prob, X)
+        self.assert_stack_equals_points(prob, X[:, None][::2])  # (32, 1, d): any leading axes
+
+    @pytest.mark.parametrize("family", sorted(CLOSED_FORM_FAMILIES))
+    def test_point_bytes_do_not_depend_on_the_stack(self, family):
+        prob = CLOSED_FORM_FAMILIES[family](10, 5)
+        rng = np.random.default_rng(4)
+        X, Y = rng.normal(size=(2, 7, 5))
+        Y[3] = X[3]
+        for form in (prob.true_h, prob.true_grad_h):
+            assert form(X)[3].tobytes() == form(Y)[3].tobytes() == form(X[3:4])[0].tobytes()
+
+
 SAME_POINT_CASES = {
     "quadratic": lambda: make_quadratic(4, 3, seed=1, noise_inner=0.2),
     "logistic": lambda: make_logistic_cso(3, 6, 4, seed=2),
@@ -458,6 +508,9 @@ FAMILY_EINSUM_SPECS = [
     "in,ijn,jn->n", "ni,ni->n", "nji,njk->ik", "nji,njk,nkl,nlm->im",
     "n...md,n...d->n...m", "n...m,n...md,n...m->n...d", "nmd,d->nm", "nmd,nm->d",
     "npd,n...d->n...p", "npd,n...p,n...p->n...d", "npd,d->np", "npd,np,np->d",
+    # the stacked closed forms, whose one-point calls are the forms above
+    "nij,...j->...ni", "...in,ijn,...jn->...n", "ni,...ni->...n", "nmd,...d->...nm", "nmd,...nm->...d",
+    "npd,...d->...np", "npd,...np,...np->...d",
 ]
 
 
