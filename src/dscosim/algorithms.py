@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,19 @@ DIVERGENCE_LIMIT = 1e6
 # run() evaluates its metric rows in batches: a batch holds row points until their x and
 # z take this many bytes (at least one point, all of its replicas).
 ROW_BATCH_BYTES = 256 * 1024
+
+# The dense mix's candidate K splits (``_k_candidates``): OpenBLAS's block Q and unroll U.
+_K_Q = tuple(range(512, 127, -64))
+_K_MIN = _K_Q[-1]  # no n this small is split
+_K_UNROLL = (16, 8, 4, 2, 1)
+# OpenBLAS's bound on M·N·K for its no-pack (small-matrix) dgemm kernel.
+_NO_PACK_MNK = 100**3
+# A plan's certification: probe values per row of W, their Generator's seed, and
+# how much faster than the dense product a split must be on them to be used.
+_PROBE_TRIALS = 64
+_PROBE_SEED = 20221
+_SPLIT_ADOPT_RATIO = 0.8
+_PLANS = {}  # id(W) -> {d: W's plan}, each entry dropped when its W is collected
 
 ALGORITHMS = ("ab-dscsc", "scgd", "scsc", "gp-dscgd", "gt-dscgd")
 
@@ -219,10 +233,111 @@ def _mix(W, x):
     another order at some n.  They are written into an agent-first array, like
     every other state array: left replica-major, the result slowed the oracles'
     einsums.  An ``(n, d)`` x is the single product.
+
+    The dense product is the reference, and W's plan may split it.  OpenBLAS
+    sums each entry as one FMA chain per block of its K split (see
+    ``_k_candidates``) and adds the block sums in order, so the products of W's
+    column blocks, added in block order, have the dense bits, and each is small
+    enough for OpenBLAS's faster no-pack kernel (row chunks keep it so).  Which
+    split the dense product takes depends on n, d, the BLAS core and its thread
+    count, so it is found, not assumed: at W's first mix with a given d, each
+    candidate split is compared byte for byte with the dense product on private
+    probes, and the first one that matches is used if it was clearly faster on
+    them.  Otherwise, and always at n <= ``_K_MIN``, where no split exists,
+    the mix is the dense product.  W must not be written after its first mix.
     """
     out = np.empty(x.shape)
-    np.matmul(W, x.swapaxes(0, -2), out=out.swapaxes(0, -2))
+    if len(W) <= _K_MIN or (plan := _plan(W, x.shape[-1])) is None:
+        np.matmul(W, x.swapaxes(0, -2), out=out.swapaxes(0, -2))
+    else:
+        _split_mix(W, x.swapaxes(0, -2), out.swapaxes(0, -2), plan)
     return out
+
+
+def _split_mix(W, x, out, plan):
+    """``out = W @ x`` for ``(..., n, d)`` x and out, as the sum of the plan's column blocks."""
+    bounds, rows = plan
+    for r in range(0, len(W), rows):
+        Wr, o = W[r : r + rows], out[..., r : r + rows, :]
+        np.matmul(Wr[:, : bounds[1]], x[..., : bounds[1], :], out=o)
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            o += Wr[:, a:b] @ x[..., a:b, :]
+
+
+def _k_candidates(n):
+    """The column bounds at which OpenBLAS's level-3 GEMM may split n summed columns.
+
+    A block of Q columns while 2Q remain, then, if more than Q remain, half of
+    the rest: rounded up to the unroll U by one-thread GEMM, and ``(rest + 1)
+    // 2`` by threaded GEMM.  Distinct splits in rule order; one block is no
+    split.
+    """
+    found = {}
+    for q in _K_Q:
+        s = q * max(0, (n - q) // q)  # the start of the last two blocks or the last one
+        rest = n - s
+        cuts = [-(-(rest // 2) // u) * u for u in _K_UNROLL] + [(rest + 1) // 2] if rest > q else [0]
+        for cut in cuts:
+            bounds = (*range(0, s + 1, q), *([s + cut] if cut else ()), n)
+            if len(bounds) > 2:
+                found.setdefault(bounds, None)
+    return list(found)
+
+
+def _plan(W, d):
+    """W's certified ``(column bounds, row chunk)`` for d columns of x, or None for dense.
+
+    Planned at W's first mix with that d, and dropped when W is collected.
+    """
+    plans = _PLANS.get(id(W))
+    if plans is None:
+        plans = _PLANS[id(W)] = {}
+        weakref.finalize(W, _PLANS.pop, id(W), None)
+    if d not in plans:
+        plans[d] = _certify(W, d)
+    return plans[d]
+
+
+def _certify(W, d):
+    """The first candidate split whose bytes equal the dense product's on every probe, if faster.
+
+    The probes are ``(n, 1, d)`` normals, at least ``_PROBE_TRIALS`` values per
+    row of W, from a fixed-seed Generator of their own, so a run's streams lose no
+    draw.  Every other probe is scaled into the subnormal range: a row whose
+    products are exact on normal values, such as two weights of 1/2, sums alike
+    in one FMA chain or two there, but its subnormal products round.  The split
+    is used if its median time on the probes is below ``_SPLIT_ADOPT_RATIO`` of
+    the dense product's; either way the bits are the same.
+    """
+    n = len(W)
+    want, got = np.empty((1, n, d)), np.empty((1, n, d))
+    for bounds in _k_candidates(n):
+        widest = max(b - a for a, b in zip(bounds, bounds[1:]))
+        plan = bounds, max(1, _NO_PACK_MNK // (d * widest))
+        rng = np.random.default_rng(_PROBE_SEED)  # the same probes for every candidate
+        dense, split = [], []
+        for i in range(max(16, -(-_PROBE_TRIALS // d))):
+            x = rng.standard_normal((1, n, d))
+            if i % 2:
+                x *= 2.0**-1040
+            t0 = time.perf_counter()
+            np.matmul(W, x, out=want)
+            t1 = time.perf_counter()
+            _split_mix(W, x, got, plan)
+            split.append(time.perf_counter() - t1)
+            dense.append(t1 - t0)
+            if not np.array_equal(want.view(np.int64), got.view(np.int64)):
+                break
+        else:
+            dense.sort()
+            split.sort()
+            return plan if split[len(split) // 2] < _SPLIT_ADOPT_RATIO * dense[len(dense) // 2] else None
+    return None
+
+
+def mix_blocks(W, d):
+    """The column bounds ``_mix`` splits W at for d columns of x, or None for the dense product."""
+    return None if (plan := _plan(W, d)) is None else plan[0]
 
 
 def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng):

@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .algorithms import run
+from .algorithms import mix_blocks, run
 from .config import load_config
 from .errors import (
     AssumptionError,
@@ -193,6 +193,10 @@ def cmd_validate_topology(config_path):
     click.echo(f"v = {np.array2string(wp.v, precision=6)}")
     click.echo(f"tau_A = {wp.tau_A:.6f}")
     click.echo(f"tau_B = {wp.tau_B:.6f}")
+    for name, W in (("A", wp.A), ("B", wp.B)):
+        bounds = mix_blocks(W, cfg["dim"])
+        blocks = " ".join(f"[{a}, {b})" for a, b in zip(bounds, bounds[1:])) if bounds else ""
+        click.echo(f"mix {name} at dim {cfg['dim']}: {'split ' + blocks if bounds else 'dense'}")
     if not (wp.tau_A < 1 and wp.tau_B < 1):
         _fail(1, "contraction factor not below 1")
 

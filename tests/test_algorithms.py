@@ -1,4 +1,7 @@
+import gc
+import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -115,13 +118,26 @@ def out_of_place_round(algorithm, state, oracle, wp, W, alpha, beta, rng, eta=0.
     return x + beta * (x_tilde - x), z_new, y_new, g if track else None
 
 
-class TestAbStep:
-    # (n, R, d), R None for an (n, d) state with a plain Generator; n is 1 for scsc and scgd
-    IN_PLACE_SHAPES = [(10, 1, 5), (3, 50, 2), (10, 2, 10), (10, None, 5)]
+@pytest.fixture
+def split_adopted(monkeypatch):
+    """``_mix`` uses every certified split, faster than the dense product or not."""
+    monkeypatch.setattr(algorithms, "_SPLIT_ADOPT_RATIO", np.inf)
 
-    @pytest.mark.parametrize("shape", IN_PLACE_SHAPES, ids=lambda s: "x".join(map(str, s)))
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_in_place_rounds_keep_the_out_of_place_bytes(self, algorithm, shape):
+
+# (algorithm, (n, R, d)), R None for an (n, d) state with a plain Generator; n is 1 for
+# scsc and scgd.  At n = 500 the mix may be split at W's K blocks.
+IN_PLACE_CASES = [
+    (algorithm, shape)
+    for algorithm in ALGORITHMS
+    for shape in [(10, 1, 5), (3, 50, 2), (10, 2, 10), (10, None, 5)]
+] + [(algorithm, (500, R, 5)) for algorithm in ("ab-dscsc", "gt-dscgd") for R in (1, 2)]
+
+
+class TestAbStep:
+    @pytest.mark.parametrize(
+        "algorithm, shape", IN_PLACE_CASES, ids=[f"{a}-{'x'.join(map(str, s))}" for a, s in IN_PLACE_CASES]
+    )
+    def test_in_place_rounds_keep_the_out_of_place_bytes(self, algorithm, shape, split_adopted):
         n, R, d = shape
         n = 1 if algorithm in ("scsc", "scgd") else n
         problem = make_quadratic(n, d, seed=n + d, noise_inner=0.2, noise_outer=0.2)
@@ -148,6 +164,8 @@ class TestAbStep:
                 assert got is None
                 continue
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if n == 500:  # the case covers the split mix
+            assert algorithms.mix_blocks(W if algorithm == "gt-dscgd" else wp.A, d) is not None
 
     def test_zero_noise_hand_computed_round(self):
         prob = make_quadratic(3, 2, seed=1, noise_inner=0.0, noise_outer=0.0)
@@ -246,6 +264,80 @@ class TestAbStep:
             rhs = state.h_prev.sum(axis=0)
             denom = max(np.linalg.norm(rhs), 1e-30)
             assert np.linalg.norm(lhs - rhs) / denom < 1e-10
+
+
+def mix_matrix(n, seed):
+    """A row-stochastic ring + about n random edges, with an all-zero row and, in row 0,
+    a dense one, whose terms every K split of the dense product cuts."""
+    rng = np.random.default_rng(seed)
+    W = np.eye(n) + np.eye(n, k=-1) + (rng.random((n, n)) < 1.0 / n)
+    W[n // 2] = 0.0
+    W[0] = 1.0
+    return W / np.maximum(W.sum(1, keepdims=True), 1.0)
+
+
+def mix_input(shape, seed):
+    """Normals with -0.0 and subnormal entries and an all-(-0.0) agent row."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    picked = rng.permutation(flat.size)
+    flat[picked[: flat.size // 8]] = -0.0
+    flat[picked[flat.size // 8 : flat.size // 4]] *= 2.0**-1060
+    x[-1] = -0.0
+    return x
+
+
+class TestMixPlan:
+    """``_mix`` against the plain stacked product, byte for byte, on the dense or split path."""
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 100, 400, 450, 500, 600, 1000])
+    def test_mix_equals_the_stacked_product(self, n, split_adopted):
+        start = time.perf_counter()
+        W = mix_matrix(n, n)
+        for d in (1, 2, 4, 5, 6, 10):
+            for R in (None, 1, 2, 3):
+                x = mix_input((n, d) if R is None else (n, R, d), seed=7 * d + (R or 0))
+                assert algorithms._mix(W, x).tobytes() == out_of_place_mix(W, x).tobytes(), (d, R)
+            print(f"n={n} d={d}: {algorithms.mix_blocks(W, d) or 'dense'}")
+        print(f"n={n}: {time.perf_counter() - start:.2f} s")
+
+    def test_certification_refuses_a_split_the_dense_product_does_not_take(self, monkeypatch, split_adopted):
+        # One-thread OpenBLAS GEMM cuts 500 columns at 256 (unroll 16), threaded GEMM
+        # at 250, and neither at 255.
+        A = ring_weights(500, 500).A
+        x = np.random.default_rng(1).standard_normal((500, 1, 5))
+        certified = {}
+        for bounds in [(0, 255, 500), (0, 250, 500), (0, 256, 500)]:
+            monkeypatch.setattr(algorithms, "_k_candidates", lambda n, bounds=bounds: [bounds])
+            W = A.copy()  # planned afresh
+            assert algorithms._mix(W, x).tobytes() == out_of_place_mix(A, x).tobytes()
+            certified[bounds] = algorithms.mix_blocks(W, 5)
+            assert certified[bounds] in (None, bounds)
+        assert certified[(0, 255, 500)] is None
+        assert None in (certified[(0, 250, 500)], certified[(0, 256, 500)])
+
+    def test_a_plan_is_dropped_with_its_matrix(self):
+        W = mix_matrix(500, 0)
+        algorithms._mix(W, np.ones((500, 1, 5)))
+        key, ref = id(W), weakref.ref(W)
+        assert key in algorithms._PLANS
+        del W
+        gc.collect()
+        assert ref() is None and key not in algorithms._PLANS
+
+    @pytest.mark.parametrize("algorithm", ["ab-dscsc", "gt-dscgd"])
+    def test_planning_draws_nothing(self, monkeypatch, split_adopted, algorithm):
+        problem = make_quadratic(500, 5, seed=0, noise_inner=0.1, noise_outer=0.1)
+        wp = ring_weights(500, 500)
+        # the x-mixing matrix of the run, or for gt-dscgd an equal one
+        mixed = underlying_metropolis(wp.graph_A) if algorithm == "gt-dscgd" else wp.A
+        planned = csv_lines(run(algorithm, problem, sched(), 10, weights=wp, seed=3, metric_stride=5))
+        assert algorithms.mix_blocks(mixed, 5) is not None
+        monkeypatch.setattr(algorithms, "_k_candidates", lambda n: [])
+        monkeypatch.setattr(algorithms, "_PLANS", {})
+        assert csv_lines(run(algorithm, problem, sched(), 10, weights=wp, seed=3, metric_stride=5)) == planned
+        assert algorithms.mix_blocks(mixed, 5) is None
 
 
 class TestSingleAgentSteps:

@@ -10,6 +10,7 @@ import scipy.optimize
 from click.testing import CliRunner
 
 import dscosim
+import dscosim.algorithms as algorithms
 import dscosim.cli as cli
 import dscosim.topology as topology
 from dscosim.cli import main
@@ -465,6 +466,21 @@ class TestValidateTopology:
         cfg = write(tmp_path, "agents = 1\n")
         res = runner.invoke(main, ["validate-topology", "--config", cfg])
         assert res.exit_code == 0
+
+    def test_reports_each_mix_as_dense_or_split(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(algorithms, "_SPLIT_ADOPT_RATIO", float("inf"))  # any certified split
+        cfg = write(tmp_path, "agents = 500\ndim = 5\ntopology_extra = 500\n")
+        res = runner.invoke(main, ["validate-topology", "--config", cfg])
+        assert res.exit_code == 0
+        for name in "AB":
+            (line,) = [l for l in res.output.splitlines() if l.startswith(f"mix {name} at dim 5: ")]
+            plan = line.split(": ", 1)[1]
+            if plan == "dense":
+                continue
+            assert plan.startswith("split [")
+            blocks = [tuple(map(int, b.strip("[)").split(", "))) for b in plan[len("split ") :].split(") [")]
+            assert blocks[0][0] == 0 and blocks[-1][1] == 500 and len(blocks) > 1
+            assert all(a < b for a, b in blocks) and all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
 
 
 class TestNormalityCommand:
