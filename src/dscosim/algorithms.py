@@ -18,9 +18,8 @@ AB recursion consumes draws in exactly the same order as ``scsc_step``.
 ``(n, R, d)``, one replica per seed, and the stream is a ``ReplicaStreams``,
 which keeps each replica's own stream and draw order.  Every per-agent product
 is taken replica by replica, so a seed's bits do not depend on the other seeds
-of its batch, and a diverged replica is dropped where it stands.  The step
-functions also take an ``(n, d)`` state with a plain Generator, as one replica
-without its axis.
+of its batch, and a diverged replica is dropped where it stands.  Every state
+passes through ``ab_dscsc_init``, which holds it to that one layout.
 
 A step writes only arrays it allocated in that round: each elementwise chain
 goes into the one temporary its first operation allocates, in the association
@@ -153,11 +152,8 @@ class ReplicaStreams:
 
 @dataclass(slots=True)
 class NetworkState:
-    """Stacked per-agent state at iteration k, shared by every method.
-
-    ``run`` holds ``(n, R, d)`` arrays, one replica per seed; a step driven by a
-    plain Generator holds ``(n, d)`` arrays.
-    """
+    """Stacked per-agent state at iteration k, shared by every method: agent-first
+    ``(n, R, ·)`` arrays, one replica per seed of the ``ReplicaStreams``."""
 
     k: int
     x: np.ndarray  # (n, R, d)
@@ -167,12 +163,11 @@ class NetworkState:
 
 
 def _check_finite(arr, k, what, rng):
-    """A DivergenceError for each replica with a non-finite or runaway entry.
+    """Flag each replica of ``arr`` ``(n, R, ·)`` with a non-finite or runaway entry.
 
-    It names the agent and k that the replica's one-seed run names.  With a plain
-    Generator (``arr`` one ``(n, d)`` replica) it is raised.  With a
-    ``ReplicaStreams`` each newly bad replica's error, naming its seed, goes onto
-    ``rng.diverged`` in seed order, and its entries of ``arr`` are zeroed.
+    Each newly bad replica's DivergenceError, naming the agent and k that its
+    one-seed run names and its seed, goes onto ``rng.diverged`` in seed order, and
+    its entries of ``arr`` are zeroed.
 
     The first test is one product: an entry with |a| >= DIVERGENCE_LIMIT has a
     rounded square of at least DIVERGENCE_LIMIT**2, and a rounded sum of
@@ -184,19 +179,14 @@ def _check_finite(arr, k, what, rng):
         return
     if np.maximum.reduce(np.abs(arr), axis=None) <= DIVERGENCE_LIMIT:  # False for NaN
         return
-    bad = ~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)
-    bad = bad.reshape(len(arr), -1, arr.shape[-1]).any(axis=2)  # (n, R)
-    seeds = getattr(rng, "seeds", [None])
-    flagged = {err.seed for err in getattr(rng, "diverged", ())}
+    bad = (~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)).any(axis=2)  # (n, R)
+    flagged = {err.seed for err in rng.diverged}
     for r in np.flatnonzero(bad.any(axis=0)):
-        seed, agent = seeds[r], int(np.argmax(bad[:, r])) + 1
-        where = "" if seed is None else f", seed {seed}"
+        seed, agent = rng.seeds[r], int(np.argmax(bad[:, r])) + 1
         err = DivergenceError(
-            f"{what} non-finite or beyond {DIVERGENCE_LIMIT:g} at k={k}, agent {agent}{where}",
+            f"{what} non-finite or beyond {DIVERGENCE_LIMIT:g} at k={k}, agent {agent}, seed {seed}",
             k=k, agent=agent, seed=seed,
         )
-        if seed is None:
-            raise err
         if seed not in flagged:  # a replica flagged earlier in this round is named once
             rng.diverged.append(err)
         arr[:, r] = 0.0  # an array the step allocated: the rest of the step stays finite
@@ -215,8 +205,13 @@ def ab_dscsc_init(problem, x0, rng, track=True):
     """Initial state: fresh inner sample for z, then one gradient draw for y.
 
     With ``track=False`` (GP-DSCGD) no gradient is drawn and y, h_prev are None.
+    ``rng`` must be a ``ReplicaStreams`` and x0 ``(n, R, d)``, R its number of seeds.
     """
-    x0 = np.array(x0, dtype=float, ndmin=2)  # a copy: the guard may zero a replica
+    if not isinstance(rng, ReplicaStreams):
+        raise ConfigurationError(f"rng must be a ReplicaStreams, got {type(rng).__name__}")
+    x0 = np.array(x0, dtype=float, order="C")  # a copy: the guard may zero a replica
+    if x0.shape != (shape := (problem.n, len(rng.seeds), problem.d)):
+        raise ConfigurationError(f"x0 must have shape (n, R, d) = {shape}, got {x0.shape}")
     _check_finite(x0, 1, "initial iterate", rng)
     z, _ = problem.sample_inner_pair_all(x0, x0, rng)
     if not track:
@@ -232,7 +227,7 @@ def _mix(W, x):
     of its own ``W @ x[:, r]``; one flat ``(n, R*d)`` product would sum in
     another order at some n.  They are written into an agent-first array, like
     every other state array: left replica-major, the result slowed the oracles'
-    einsums.  An ``(n, d)`` x is the single product.
+    einsums.
 
     The dense product is the reference, and W's plan may split it.  OpenBLAS
     sums each entry as one FMA chain per block of its K split (see
@@ -413,7 +408,7 @@ def _default_x0(problem, rng):
     shape = (problem.n, len(rng.seeds), problem.d)
     if hasattr(problem, "init_params"):
         rows = np.stack([problem.init_params(g) for g in rng.streams])  # (R, d)
-        return np.broadcast_to(rows, shape).copy()
+        return np.broadcast_to(rows, shape)  # ab_dscsc_init copies it
     return np.zeros(shape)
 
 
@@ -453,15 +448,15 @@ def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
 def _flush_rows(held, seeds, records, problem, u):
     """Evaluate the held row points in one ``collect_row`` call and empty ``held``.
 
-    The stack is point-major, with the replicas of a point in seed order, so each
-    seed's rows reach its record in k order.  A step never writes a yielded state's
+    x is point-major and z agent-first, with the replicas of a point in seed order, so
+    each seed's rows reach its record in k order.  A step never writes a yielded state's
     arrays, so the held x and z are the states as they were yielded.
     """
     if not held:
         return
     ks, alphas, betas, xs, zs = zip(*held)
     x = np.concatenate([a.swapaxes(0, 1) for a in xs])  # (P, n, d), P = points × replicas
-    z = np.concatenate([a.swapaxes(0, 1) for a in zs])
+    z = np.concatenate(zs, axis=1)  # (n, P, p), agent-first like the states
     each = ([v for v in col for _ in seeds] for col in (ks, alphas, betas))  # the values as given
     for i, row in enumerate(collect_row(*each, x, z, problem, u)):
         records[seeds[i % len(seeds)]].rows.append(row)

@@ -16,11 +16,12 @@ class CapabilityError(Exception):
 class DivergenceError(Exception):
     """Non-finite or runaway iterates detected during a run (exit code 3)."""
 
+    # the defaults serve unpickling, which passes the message alone and then restores the rest
     def __init__(self, message, k=None, agent=None, seed=None):
         super().__init__(message)
         self.k = k
         self.agent = agent
-        self.seed = seed  # the diverged run's seed; None for a step driven by a plain Generator
+        self.seed = seed  # the diverged replica's seed
 
 
 class NumericalError(Exception):

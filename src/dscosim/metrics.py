@@ -11,23 +11,21 @@ from .records import MetricRow
 def collect_row(k, alpha_k, beta_k, x, z, problem, u):
     """MetricRows for a stack of states; missing capabilities give None cells.
 
-    x ``(P, n, d)`` and z ``(P, n, p)`` stack P points, one state each, with k,
-    alpha_k and beta_k sequences of P values; the P rows come back in order.  One
-    ``(n, d)`` state with scalar k, alpha_k and beta_k is the stack of one point,
-    and gives its one row.  A row's bits do not depend on the other points of its
-    stack: each is reduced on its own axes, as the one-point expressions are.
+    x ``(P, n, d)`` stacks P points point-major and z ``(n, P, p)`` stacks them
+    agent-first, as the states hold it, with k, alpha_k and beta_k sequences of P
+    values; the P rows come back in order.  A row's bits do not depend on the other
+    points of its stack: each is reduced on its own axes, as one point alone is.
 
     consensus_err sums ||x_i - xbar||^2 about xbar = (u @ x) / n, the average
     under the left Perron weights u; tracking_err sums ||z_i - g_i(x_i)||^2 in
     agent order. ``true_h`` is called n + 1 times per call, whatever P: at x*,
     then at each agent in order, on that agent's ``(P, d)`` iterates.  x is copied
-    to one contiguous stack first: ``u @ x`` sums a strided x in another order; z
-    only enters an elementwise subtraction, whose bits do not depend on layout.
-    The reduces are np.add.reduce, the pairwise sum np.sum and np.mean run (np.mean
-    then divides by the count), without their Python wrappers.
+    to one contiguous stack first: ``u @ x``, the consensus sum and the gap sums
+    keep their bits only in that layout; z only enters an elementwise subtraction,
+    whose bits do not depend on layout.  The reduces are np.add.reduce, the
+    pairwise sum np.sum and np.mean run (np.mean then divides by the count),
+    without their Python wrappers.
     """
-    if x.ndim == 2:
-        return collect_row([k], [alpha_k], [beta_k], x[None], z[None], problem, u)[0]
     x = np.ascontiguousarray(x)
     P, n = x.shape[:2]
     xbar = (u @ x) / n  # (P, d)
@@ -38,9 +36,9 @@ def collect_row(k, alpha_k, beta_k, x, z, problem, u):
         "consensus_err": np.add.reduce(((x - xbar[:, None]) ** 2).reshape(P, -1), axis=1).tolist(),
     }
     if problem.has_true_g:
-        agent_sums = np.add.reduce((z - problem.true_g(x.swapaxes(0, 1)).swapaxes(0, 1)) ** 2, axis=2)
+        agent_sums = np.add.reduce((z - problem.true_g(x.swapaxes(0, 1))) ** 2, axis=2)  # (n, P)
         # left to right in agent order (np.sum would add pairwise); sums of squares hold no -0.0
-        cols["tracking_err"] = np.add.accumulate(agent_sums, axis=1)[:, -1].tolist()
+        cols["tracking_err"] = np.add.accumulate(agent_sums, axis=0)[-1].tolist()
     if problem.has_true_grad:
         cols["grad_norm_sq"] = np.add.reduce(problem.true_grad_h(xbar) ** 2, axis=1).tolist()
     if problem.has_optimum:

@@ -3,22 +3,20 @@
 Each agent i owns a compositional objective f_i(g_i(x)) with
 g_i(x) = E[G_i(x; phi_i)] and f_i(z) = E[F_i(z; zeta_i)].  Every agent has
 the same inner dimension p.  An oracle exposes two sampling primitives, each
-taking the stacked per-agent arrays and drawing for all n agents in one call:
+taking the agent-first ``(n, R, ·)`` arrays of a run and a ``ReplicaStreams``
+of R replicas, and drawing for all n agents and R replicas in one call:
 
-* ``sample_inner_pair_all(X_new, X_old, rng)`` evaluates G_i at both rows of
-  each agent with one common inner sample per agent (required by the
-  stochastic correction) and returns two ``(n, p)`` arrays.  Given one array
+* ``sample_inner_pair_all(X_new, X_old, rng)`` evaluates G_i at both points of
+  each agent with one common inner sample per agent and replica (required by the
+  stochastic correction) and returns two ``(n, R, p)`` arrays.  Given one array
   as both points (``X_old is X_new``) it evaluates once, with the same draws,
   and returns equal outputs.
 * ``sample_grad_all(X, Z, rng)`` draws a fresh, independent (phi, zeta) pair
-  per agent and returns the ``(n, d)`` stochastic gradients
+  per agent and replica and returns the ``(n, R, d)`` stochastic gradients
   grad G_i(x_i; phi) grad F_i(z_i; zeta).
 
-All randomness comes from the caller-supplied numpy Generator, and every
-result depends only on the inputs, so oracles are safe to share across
-concurrent runs.  Given a ``ReplicaStreams`` instead, the arrays are
-replica-batched ``(n, R, d)``/``(n, R, p)`` and each replica draws from its own
-stream.
+Each replica draws from its own stream, and every result depends only on the
+inputs, so oracles are safe to share across concurrent runs.
 
 A family may keep one product between calls: ``kept_map`` holds its noise-free
 inner map of the last point array it mapped, keyed by that array's identity, so
@@ -139,11 +137,11 @@ class ProblemOracle:
     has_optimum = False
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
-        """Stacked (n, p) arrays G(X_new), G(X_old), one shared draw per agent."""
+        """Stacked (n, R, p) arrays G(X_new), G(X_old), one shared draw per agent and replica."""
         raise NotImplementedError
 
     def sample_grad_all(self, X, Z, rng):
-        """Stacked (n, d) stochastic gradients; Z is the (n, p) inner-value array."""
+        """Stacked (n, R, d) stochastic gradients; Z is the (n, R, p) inner-value array."""
         raise NotImplementedError
 
     # Ground-truth accessors, guarded by capability flags.

@@ -56,7 +56,7 @@ class LogisticProblem(ProblemOracle):
     # -- sampling -----------------------------------------------------------
 
     def _shifted_features(self, rng):
-        """Rows a_j + phi of each agent's one inner sample phi, (n, m, d) or (n, R, m, d)."""
+        """Rows a_j + phi of each agent's and replica's one inner sample phi, (n, R, m, d)."""
         if self.pool is not None:
             phi = self.pool[rng.integers(0, self.pool.shape[0], size=self.n)]
         else:

@@ -127,20 +127,19 @@ class SinusoidMamlProblem(ProblemOracle):
         _, grad = self.net.loss_grad(x, *batch)
         return grad
 
-    def _draw_batches(self, count, lead, rng):
-        """``count`` minibatches per agent as ``(2, count, *lead, B)`` inputs and targets,
-        ``lead`` being ``(n,)`` or ``(n, R)``: on each stream in turn, agent i draws all
-        of its minibatches before agent i + 1 draws any."""
-        batches = np.empty((2, count, *lead, BATCH_SIZE))
-        per_stream = batches.reshape(2, count, self.n, -1, BATCH_SIZE)  # a view
-        for r, g in enumerate(getattr(rng, "streams", [rng])):
+    def _draw_batches(self, count, rng):
+        """``count`` minibatches per agent and replica as ``(2, count, n, R, B)`` inputs and
+        targets: on each stream in turn, agent i draws all of its minibatches before
+        agent i + 1 draws any."""
+        batches = np.empty((2, count, self.n, len(rng.streams), BATCH_SIZE))
+        for r, g in enumerate(rng.streams):
             for i in range(self.n):
                 for c in range(count):
-                    per_stream[:, c, i, r] = self._draw_batch(i, g)
+                    batches[:, c, i, r] = self._draw_batch(i, g)
         return batches
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
-        batch = self._draw_batches(1, X_new.shape[:-1], rng)[:, 0]
+        batch = self._draw_batches(1, rng)[:, 0]
         new = X_new - self.adapt_step * self._task_grad(X_new, batch)
         if X_old is X_new:  # one point: one adaptation step serves both
             return new, new
@@ -156,7 +155,7 @@ class SinusoidMamlProblem(ProblemOracle):
         return (gp - gm) / (2.0 * eps)
 
     def sample_grad_all(self, X, Z, rng):
-        inner, outer = self._draw_batches(2, Z.shape[:-1], rng).swapaxes(0, 1)
+        inner, outer = self._draw_batches(2, rng).swapaxes(0, 1)
         v = self._task_grad(Z, outer)
         if self.adapt_step != 0.0:
             v = v - self.adapt_step * self.hvp(X, v, inner)

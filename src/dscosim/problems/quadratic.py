@@ -56,9 +56,9 @@ class QuadraticProblem(ProblemOracle):
         return np.array(self.sigma_phi), np.array(self.sigma_zeta)
 
     @cached_property
-    def _c_views(self):
-        """c as ``per_agent`` views, by the number of axes of the array they meet."""
-        return {2: self.c, 3: self.c[:, None, :]}
+    def _c_view(self):
+        """c as an ``(n, 1, d)`` view, which broadcasts over the replica axis."""
+        return self.c[:, None, :]
 
     @cached_property
     def _products(self):
@@ -82,7 +82,7 @@ class QuadraticProblem(ProblemOracle):
         layout matters; einsum sums from +0.0, which turns a -0.0 sum into +0.0.
         """
         A, columns = self._products[spec, name]
-        if columns is None or X.ndim != 3 or X.shape[1] < CONTRACT_MIN_REPLICAS:
+        if columns is None or X.shape[1] < CONTRACT_MIN_REPLICAS:
             return einsum(spec, A, X)
         c0, c1 = columns
         out = X[..., 0:1] * c0
@@ -103,7 +103,7 @@ class QuadraticProblem(ProblemOracle):
 
     def sample_grad_all(self, X, Z, rng):
         zeta = rng.normal(size=self._draw_size) * self._noise_scales[1]
-        zeta += self._c_views[zeta.ndim]
+        zeta += self._c_view
         inner = self._agent_product("nij,n...j->n...i", "Q", Z)
         inner += zeta
         return self._agent_product("nji,n...j->n...i", "M", inner)

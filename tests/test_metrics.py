@@ -31,9 +31,15 @@ from dscosim.records import (
 from dscosim.schedules import ConstantSqrtK, Polynomial, StepSchedule
 
 
+def one_row(k, alpha_k, beta_k, x, z, problem, u):
+    """collect_row on the one state x ``(n, d)``, z ``(n, p)``: a stack of one point."""
+    [row] = collect_row([k], [alpha_k], [beta_k], x[None], z[:, None], problem, u)
+    return row
+
+
 def row_at(x, z, problem):
     """collect_row at uniform Perron weights."""
-    return collect_row(1, 0.1, 0.1, x, z, problem, np.ones(len(x)))
+    return one_row(1, 0.1, 0.1, x, z, problem, np.ones(len(x)))
 
 
 class TestAverages:
@@ -139,7 +145,7 @@ class TestCollectRow:
         for scale in (1.0, 1e-3, 0.0):
             x = scale * rng.normal(size=(n, prob.d))
             z = rng.normal(size=(n, p))
-            row = collect_row(7, 0.1, 0.2, x, z, prob, u)
+            row = one_row(7, 0.1, 0.2, x, z, prob, u)
             assert row_bits(row) == row_bits(reference_row(7, 0.1, 0.2, x, z, prob, u))
         if case == "maml":
             assert row.consensus_err is not None
@@ -156,9 +162,8 @@ class TestCollectRow:
         for r in range(20):
             x, z = X[:, r], Z[:, r]
             copy = (np.ascontiguousarray(x), np.ascontiguousarray(z))
-            assert row_bits(collect_row(7, 0.1, 0.2, x, z, prob, u)) == row_bits(
-                collect_row(7, 0.1, 0.2, *copy, prob, u)
-            )
+            strided = one_row(7, 0.1, 0.2, x, z, prob, u)
+            assert row_bits(strided) == row_bits(one_row(7, 0.1, 0.2, *copy, prob, u))
 
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
     def test_stack_rows_equal_one_point_rows(self, case):
@@ -170,8 +175,8 @@ class TestCollectRow:
         u *= n / u.sum()
         p = prob.true_g(np.zeros((n, prob.d))).shape[1] if prob.has_true_g else prob.d
         X, Y = rng.normal(size=(2, 7, n, prob.d))
-        Z, W = rng.normal(size=(2, 7, n, p))
-        Y[3], W[3] = X[3], Z[3]
+        Z, W = np.ascontiguousarray(rng.normal(size=(2, 7, n, p)).swapaxes(1, 2))  # (n, P, p) each
+        Y[3], W[:, 3] = X[3], Z[:, 3]
         ks, alphas, betas = list(range(1, 8)), [0.1 / k for k in range(1, 8)], [0.2] * 7
         rows = collect_row(ks, alphas, betas, X, Z, prob, u)
         assert row_bits(rows[3]) == row_bits(collect_row(ks, alphas, betas, Y, W, prob, u)[3])
@@ -180,7 +185,7 @@ class TestCollectRow:
             row_bits(r) for r in rows
         ]
         for q, row in enumerate(rows):
-            assert row_bits(row) == row_bits(collect_row(ks[q], alphas[q], 0.2, X[q], Z[q], prob, u))
+            assert row_bits(row) == row_bits(one_row(ks[q], alphas[q], 0.2, X[q], Z[:, q], prob, u))
 
     def test_true_h_at_the_optimum_then_once_per_agent_on_the_stack(self):
         prob = make_quadratic(4, 3, seed=2)
@@ -196,10 +201,10 @@ class TestCollectRow:
 
         rng = np.random.default_rng(0)
         X, Z = rng.normal(size=(2, 5, 4, 3))
-        collect_row(list(range(5)), [0.1] * 5, [0.2] * 5, X, Z, Counting(), np.ones(4))
+        collect_row(list(range(5)), [0.1] * 5, [0.2] * 5, X, Z.swapaxes(0, 1), Counting(), np.ones(4))
         assert shapes == [(3,)] + [(5, 3)] * 4
         shapes.clear()
-        collect_row(1, 0.1, 0.2, X[0], Z[0], Counting(), np.ones(4))
+        one_row(1, 0.1, 0.2, X[0], Z[0], Counting(), np.ones(4))
         assert shapes == [(3,)] + [(1, 3)] * 4
 
     @pytest.mark.parametrize("case", [c for c in sorted(ROW_CASES) if "quadratic" in c or "logistic" in c])

@@ -138,17 +138,21 @@ class TestCollectDelta:
 
 
 def serial_delta(seed, prob, wp, schedule, k, agent):
-    """One replication on its own (n, d) state, accumulated as the batched study does."""
+    """One replication on its own (n, 1, d) state, accumulated agent by agent with
+    per-agent products as the batched study does; raises its DivergenceError."""
     xstar = prob.optimum()
     nd = prob.normality_data()
     proj = [prob.M[j].T @ nd.T[j] / prob.n for j in range(prob.n)]
-    rng = run_stream(seed)
-    state = ab_dscsc_init(prob, np.zeros((prob.n, prob.d)), rng)
+    rng = ReplicaStreams([seed])
+    state = ab_dscsc_init(prob, np.zeros((prob.n, 1, prob.d)), rng)
     top, bottom = np.zeros(prob.d), np.zeros(prob.d)
     for t in range(1, k + 1):
-        top += state.x[agent - 1] - xstar
+        if rng.diverged:
+            raise rng.diverged[0]
+        x, z = state.x[:, 0], state.z[:, 0]
+        top += x[agent - 1] - xstar
         for j in range(prob.n):
-            bottom += proj[j] @ (state.z[j] - prob.M[j] @ state.x[j])
+            bottom += proj[j] @ (z[j] - prob.M[j] @ x[j])
         if t < k:
             state = ab_dscsc_step(state, prob, wp, schedule.alpha(t), schedule.beta_of(t), rng)
     scale = 1.0 / np.sqrt(k)
@@ -317,8 +321,8 @@ class TestReplicaBatching:
         assert err.seed == 23 and "seed 23" in str(err)
         with pytest.raises(DivergenceError) as serial:
             serial_delta(err.seed, prob, wp, sched, 200, 1)
-        assert (serial.value.k, serial.value.agent) == (err.k, err.agent)
-        assert str(err) == f"{serial.value}, seed {err.seed}"
+        assert (serial.value.k, serial.value.agent, serial.value.seed) == (err.k, err.agent, err.seed)
+        assert str(err) == str(serial.value)
 
 
 class TestCompareCovariance:

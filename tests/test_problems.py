@@ -48,34 +48,34 @@ class TestOracleContract:
         # both evaluations of a pair must use one common inner draw per agent:
         # with equal arguments they are bitwise identical
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(family.n, family.d))
-        a, b = family.sample_inner_pair_all(X, X, np.random.default_rng(7))
+        X = rng.normal(size=(family.n, 1, family.d))
+        a, b = family.sample_inner_pair_all(X, X, ReplicaStreams([7]))
         np.testing.assert_array_equal(a, b)
 
     def test_stacked_draw_order(self, family):
         # one stacked draw per call, row i for agent i, shared by both points
         rng = np.random.default_rng(5)
-        X_new = rng.normal(size=(family.n, family.d))
+        X_new = rng.normal(size=(family.n, 1, family.d))
         X_old = 0.5 * X_new
-        new, old = family.sample_inner_pair_all(X_new, X_old, np.random.default_rng(9))
-        ref = np.random.default_rng(9)
+        new, old = family.sample_inner_pair_all(X_new, X_old, ReplicaStreams([9]))
+        ref = run_stream(9)  # the one replica's stream
         if isinstance(family, LogisticProblem):
             if family.pool is not None:
                 phi = family.pool[ref.integers(0, len(family.pool), size=family.n)]
             else:
                 phi = ref.normal(size=(family.n, family.d))
             for X, out in ((X_new, new), (X_old, old)):
-                expected = -family.b * np.einsum("nmd,nd->nm", family.a + phi[:, None, :], X)
-                assert out.shape == expected.shape == (family.n, family.m)
-                np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-13)
+                expected = -family.b * np.einsum("nmd,nd->nm", family.a + phi[:, None, :], X[:, 0])
+                assert out.shape == (family.n, 1, family.m)
+                np.testing.assert_allclose(out[:, 0], expected, rtol=1e-13, atol=1e-13)
         else:
-            noise = family.sigma_phi * ref.normal(size=new.shape)
+            noise = family.sigma_phi * ref.normal(size=(family.n, new.shape[-1]))
             for X, out in ((X_new, new), (X_old, old)):
                 G = family.true_g(X)
                 assert out.shape == G.shape
-                np.testing.assert_allclose(out - G, noise, rtol=0, atol=1e-13)
-        G = family.sample_grad_all(X_new, new, np.random.default_rng(9))
-        assert G.shape == (family.n, family.d)
+                np.testing.assert_allclose(out[:, 0] - G[:, 0], noise, rtol=0, atol=1e-13)
+        G = family.sample_grad_all(X_new, new, ReplicaStreams([9]))
+        assert G.shape == (family.n, 1, family.d)
 
     def test_capability_flags_guard(self):
         prob = make_sinusoid_maml(2, 5, 3, 0.01, seed=0)
@@ -218,8 +218,8 @@ class TestSamePointInnerPair:
     @pytest.mark.parametrize("case", sorted(SAME_POINT_CASES))
     def test_bytes_and_draws_equal(self, case):
         prob = SAME_POINT_CASES[case]()
-        X = np.random.default_rng(4).normal(size=(prob.n, prob.d))
-        self.check(prob, X, [run_stream(9), run_stream(9)])
+        X = np.random.default_rng(4).normal(size=(prob.n, 1, prob.d))
+        self.check(prob, X, [ReplicaStreams([9]), ReplicaStreams([9])])
 
     def test_quadratic_replica_batched(self):
         prob = make_quadratic(3, 2, seed=2, noise_inner=0.3)
@@ -292,8 +292,8 @@ class TestKeptInnerMap:
         cls, make = KEPT_MAP_FAMILIES[case]
         problem = make(3)
         calls = count_inner_maps(cls)
-        rng = np.random.default_rng(0)
-        x0, x1 = rng.normal(size=(2, 3, 3))
+        rng = ReplicaStreams([0])
+        x0, x1 = np.random.default_rng(0).normal(size=(2, 3, 1, 3))
         problem.sample_inner_pair_all(x1, x0, rng)
         assert problem._cache["mapped"][0] is x1 and len(calls) == 2
         problem.sample_inner_pair_all(x1.copy(), x1, rng)  # equal values, another array
@@ -329,18 +329,18 @@ def test_replace_computes_its_own_constants(case):
     the values of an instance built afresh from the same fields."""
     make, changes = REPLACE_CASES[case]
     prob = make()
-    X = np.random.default_rng(0).normal(size=(prob.n, prob.d))
-    x = X[0]
+    X = np.random.default_rng(0).normal(size=(prob.n, 1, prob.d))
+    x = X[0, 0]
     if prob.has_optimum:
         prob.optimum()
     prob.true_grad_h(x), prob.true_h(x)
-    prob.sample_inner_pair_all(X, X, np.random.default_rng(1))
+    prob.sample_inner_pair_all(X, X, ReplicaStreams([1]))
     new = dataclasses.replace(prob, **changes(prob))
     # built from the data fields only: a parent's cache must not reach this instance either
     fresh = type(prob)(**{f.name: getattr(new, f.name) for f in dataclasses.fields(new) if f.name[0] != "_"})
 
     def values(p):
-        pair = p.sample_inner_pair_all(X, X, np.random.default_rng(1))
+        pair = p.sample_inner_pair_all(X, X, ReplicaStreams([1]))
         out = [p.true_grad_h(x), np.float64(p.true_h(x)), *pair]
         return [a.tobytes() for a in out + ([p.optimum()] if p.has_optimum else [])]
 
@@ -389,9 +389,8 @@ class TestQuadratic:
 
     def test_zero_noise_sampling_is_exact(self):
         prob = make_quadratic(3, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
-        rng = np.random.default_rng(0)
-        X = np.tile(rng.normal(size=2), (prob.n, 1))
-        G, _ = prob.sample_inner_pair_all(X, X, rng)
+        X = np.tile(np.random.default_rng(0).normal(size=2), (prob.n, 1, 1))
+        G, _ = prob.sample_inner_pair_all(X, X, ReplicaStreams([0]))
         np.testing.assert_allclose(G, prob.true_g(X))
 
     @pytest.mark.parametrize("n,d", [(500, 5), (10, 5), (3, 2), (50, 9), (4, 1), (20, 16)])
@@ -482,8 +481,8 @@ class TestAgentContract:
     @pytest.mark.parametrize(
         "shape,kernel",
         [((3, 20, 2), True), ((3, 200, 2), True), ((60, 50, 2), True), ((3, 19, 2), False),
-         ((3, 1, 2), False), ((500, 1, 5), False), ((3, 2), False), ((3, 50, 3), False),
-         ((3, 200, 8), False), ((10, 200, 9), False)],
+         ((3, 1, 2), False), ((500, 1, 5), False), ((1, 1, 2), False), ((3, 50, 3), False),
+         ((3, 200, 8), False), ((10, 200, 9), False), ((1, 20, 2), True)],
     )
     def test_dispatch(self, monkeypatch, shape, kernel):
         calls = []
@@ -493,10 +492,10 @@ class TestAgentContract:
             return base.einsum(*args)
 
         monkeypatch.setattr(quadratic, "einsum", recording_einsum)
-        n, d = shape[0], shape[-1]
+        n, R, d = shape
         prob = make_quadratic(n, d, seed=1)
         X = np.random.default_rng(2).normal(size=shape)
-        rng = ReplicaStreams(range(shape[1])) if len(shape) == 3 else np.random.default_rng(3)
+        rng = ReplicaStreams(range(R))
         Z, _ = prob.sample_inner_pair_all(X, X, rng)
         prob.sample_grad_all(X, Z, rng)
         assert len(calls) == (0 if kernel else 3)
@@ -580,19 +579,17 @@ class TestLogistic:
         return inner_pair, grad
 
     @pytest.mark.parametrize("pool", [0, 5])
-    @pytest.mark.parametrize("R", [None, 1, 2, 20])
+    @pytest.mark.parametrize("R", [1, 2, 20])
     def test_oracle_bits_equal_the_plain_expressions(self, pool, R):
         prob = make_logistic_cso(
             10, 20, 10, seed=0, fixed_inner_pool=pool, feature_scale=4.0, label_noise=4.0
         )
-        streams = (lambda: run_stream(3)) if R is None else (lambda: ReplicaStreams(range(R)))
-        rng, plain_rng = streams(), streams()
+        rng, plain_rng = ReplicaStreams(range(R)), ReplicaStreams(range(R))
         inner_pair, grad = self.plain_oracle(prob, plain_rng)
-        lead = (10,) if R is None else (10, R)
         data = np.random.default_rng(1)
         for _ in range(30):
-            X_new, X_old = 3 * data.normal(size=(2, *lead, 10))
-            Z = 50 * data.normal(size=(*lead, 20))
+            X_new, X_old = 3 * data.normal(size=(2, 10, R, 10))
+            Z = 50 * data.normal(size=(10, R, 20))
             Z[0] = -2000.0  # the sigmoid underflows to 0: agent 1's gradient is a signed zero
             got = prob.sample_inner_pair_all(X_new, X_old, rng)
             assert [g.tobytes() for g in got] == [e.tobytes() for e in inner_pair(X_new, X_old)]
@@ -621,12 +618,11 @@ class TestSigmoid:
 
     def test_gradient_zero_noise_matches_closed_form(self):
         prob = make_sigmoid_quadratic(3, 4, seed=1, noise_inner=0.0, noise_outer=0.0)
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=4)
-        X = np.tile(x, (prob.n, 1))
+        x = np.random.default_rng(2).normal(size=4)
+        X = np.tile(x, (prob.n, 1, 1))
         Z = prob.true_g(X)
-        grads = prob.sample_grad_all(X, Z, rng)
-        np.testing.assert_allclose(grads.mean(axis=0), prob.true_grad_h(x), atol=1e-12)
+        grads = prob.sample_grad_all(X, Z, ReplicaStreams([2]))
+        np.testing.assert_allclose(grads.mean(axis=0)[0], prob.true_grad_h(x), atol=1e-12)
 
 
 class TestMlpRegressor:
@@ -666,24 +662,24 @@ class TestMaml:
     def test_inner_is_one_adaptation_step(self):
         prob = make_sinusoid_maml(2, 3, 2, 0.02, seed=0)
         rng = np.random.default_rng(3)
-        X = np.stack([prob.init_params(rng) for _ in range(prob.n)])
-        adapted, _ = prob.sample_inner_pair_all(X, X, np.random.default_rng(5))
+        X = np.stack([prob.init_params(rng) for _ in range(prob.n)])[:, None]
+        adapted, _ = prob.sample_inner_pair_all(X, X, ReplicaStreams([5]))
         # same stream reproduces the same batches, agent by agent, so the step is checkable
-        rng2 = np.random.default_rng(5)
+        rng2 = run_stream(5)
         for i in range(prob.n):
             batch = prob._draw_batch(i, rng2)
-            np.testing.assert_allclose(adapted[i], X[i] - 0.02 * prob._task_grad(X[i], batch))
+            np.testing.assert_allclose(adapted[i, 0], X[i, 0] - 0.02 * prob._task_grad(X[i, 0], batch))
 
     def test_zero_adapt_step_gradient_is_plain(self):
         prob = make_sinusoid_maml(2, 3, 2, 0.0, seed=0)
         rng = np.random.default_rng(4)
-        X = np.stack([prob.init_params(rng) for _ in range(prob.n)])
-        G = prob.sample_grad_all(X, X, np.random.default_rng(6))
-        rng2 = np.random.default_rng(6)
+        X = np.stack([prob.init_params(rng) for _ in range(prob.n)])[:, None]
+        G = prob.sample_grad_all(X, X, ReplicaStreams([6]))
+        rng2 = run_stream(6)
         for i in range(prob.n):
             prob._draw_batch(i, rng2)  # inner batch draw comes first
             outer = prob._draw_batch(i, rng2)
-            np.testing.assert_allclose(G[i], prob._task_grad(X[i], outer))
+            np.testing.assert_allclose(G[i, 0], prob._task_grad(X[i, 0], outer))
 
     def test_amplitude_phase_ranges(self):
         prob = make_sinusoid_maml(3, 50, 2, 0.01, seed=9)
@@ -762,14 +758,10 @@ class OneNetMamlOracle:
 
     def sample_inner_pair_all(self, X_new, X_old, rng):
         same = X_old is X_new
-        if isinstance(rng, np.random.Generator):
-            return self.inner_pair(X_new, X_old, rng, same)
         pairs = [self.inner_pair(X_new[:, r], X_old[:, r], g, same) for r, g in enumerate(rng.streams)]
         return tuple(np.stack(p, axis=1) for p in zip(*pairs))
 
     def sample_grad_all(self, X, Z, rng):
-        if isinstance(rng, np.random.Generator):
-            return self.grad(X, Z, rng)
         return np.stack([self.grad(X[:, r], Z[:, r], g) for r, g in enumerate(rng.streams)], axis=1)
 
 
@@ -781,18 +773,14 @@ class TestStackedMamlOracle:
     """The stacked MLP oracle gives the bytes of the one-net form, and leaves every
     stream where the one-net form leaves it."""
 
-    @pytest.mark.parametrize("streams", ["generator", 1, 3])
+    @pytest.mark.parametrize("streams", [1, 3])
     @pytest.mark.parametrize("n", [1, 3, 10])
     @pytest.mark.parametrize("adapt_step", [0.0, 0.01])
     @pytest.mark.parametrize("width", [1, 2, 8, 32])
     def test_bytes_equal_the_one_net_form(self, width, adapt_step, n, streams):
         prob = make_sinusoid_maml(n, 7, width, adapt_step, seed=width)
         reference = OneNetMamlOracle(prob)
-        if streams == "generator":
-            lead, make_rng = (n,), lambda: run_stream(21)
-        else:
-            lead, make_rng = (n, streams), lambda: ReplicaStreams(range(21, 21 + streams))
-        X_old, X_new, Z = np.random.default_rng(n).normal(scale=0.5, size=(3, *lead, prob.d))
+        X_old, X_new, Z = np.random.default_rng(n).normal(scale=0.5, size=(3, n, streams, prob.d))
 
         def outputs(oracle, rng):
             return [
@@ -801,10 +789,10 @@ class TestStackedMamlOracle:
                 oracle.sample_grad_all(X_new, Z, rng),
             ]
 
-        rng, ref_rng = make_rng(), make_rng()
+        rng, ref_rng = ReplicaStreams(range(21, 21 + streams)), ReplicaStreams(range(21, 21 + streams))
         for a, b in zip(outputs(prob, rng), outputs(reference, ref_rng), strict=True):
             assert_same_bytes(a, b)
-        for g, h in zip(getattr(rng, "streams", [rng]), getattr(ref_rng, "streams", [ref_rng])):
+        for g, h in zip(rng.streams, ref_rng.streams, strict=True):
             assert_same_bytes(g.random(3), h.random(3))  # both left every stream at one place
 
     @pytest.mark.parametrize("width", [1, 8])
@@ -826,22 +814,45 @@ class TestStackedMamlOracle:
                 assert_same_bytes(grad[i], grad_i)
 
 
+# the covariance study's shape (n = 3, d = 2): at R >= 20 its products run as two multiplies
+MONTE_CARLO_FAMILIES = {
+    **FAMILIES,
+    "quadratic-d2": lambda: make_quadratic(3, 2, seed=1, noise_inner=0.2, noise_outer=0.3),
+}
+
+
 class TestMonteCarloGrad:
-    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("name", sorted(MONTE_CARLO_FAMILIES))
     def test_unbiased_within_four_stderr(self, name):
-        prob = FAMILIES[name]()
-        rng = np.random.default_rng(123)
-        x = 0.4 * rng.normal(size=prob.d)
-        mean, stderr = monte_carlo_grad_h(prob, x, draws=4000, rng=rng)
+        prob = MONTE_CARLO_FAMILIES[name]()
+        x = 0.4 * np.random.default_rng(123).normal(size=prob.d)
+        mean, stderr = monte_carlo_grad_h(prob, x, draws=4000, rng=ReplicaStreams(range(123, 323)))
         truth = prob.true_grad_h(x)
         assert np.all(np.abs(mean - truth) <= 4 * stderr + 1e-12)
+
+    @pytest.mark.parametrize("draws,calls", [(1, 1), (3, 1), (7, 3)])
+    def test_one_stacked_call_per_replica_count(self, monkeypatch, draws, calls):
+        # each call gives R = 3 samples, and the last call's extra samples are not used
+        prob = make_quadratic(2, 3, seed=0)
+        x = np.array([0.5, -1.0, 2.0])
+        X = np.tile(x, (2, 3, 1))
+        rng = ReplicaStreams([4, 5, 6])
+        grads = [prob.sample_grad_all(X, prob.true_g(X), rng).mean(axis=0) for _ in range(calls)]
+        shapes, real = [], QuadraticProblem.sample_grad_all
+        monkeypatch.setattr(
+            QuadraticProblem, "sample_grad_all", lambda p, X, Z, rng: shapes.append(X.shape) or real(p, X, Z, rng)
+        )
+        mean, stderr = monte_carlo_grad_h(prob, x, draws, ReplicaStreams([4, 5, 6]))
+        assert shapes == [(2, 3, 3)] * calls
+        assert mean.tobytes() == np.concatenate(grads)[:draws].mean(axis=0).tobytes()
+        assert stderr.shape == (3,) and (draws > 1) == bool(stderr.any())
 
     def test_rejects_zero_draws(self):
         prob = make_quadratic(1, 2, 0)
         with pytest.raises(ConfigurationError):
-            monte_carlo_grad_h(prob, np.zeros(2), 0, np.random.default_rng(0))
+            monte_carlo_grad_h(prob, np.zeros(2), 0, ReplicaStreams([0]))
 
     def test_rejects_a_family_without_closed_form_inner_value(self):
         prob = make_sinusoid_maml(2, 5, 3, 0.01, seed=0)
         with pytest.raises(CapabilityError):
-            monte_carlo_grad_h(prob, np.zeros(prob.d), 10, np.random.default_rng(0))
+            monte_carlo_grad_h(prob, np.zeros(prob.d), 10, ReplicaStreams([0]))
