@@ -50,15 +50,12 @@ ROW_BATCH_BYTES = 256 * 1024
 
 # The dense mix's candidate K splits (``_k_candidates``): OpenBLAS's block Q and unroll U.
 _K_Q = tuple(range(512, 127, -64))
-_K_MIN = _K_Q[-1]  # no n this small is split
 _K_UNROLL = (16, 8, 4, 2, 1)
-# OpenBLAS's bound on M·N·K for its no-pack (small-matrix) dgemm kernel.
+# OpenBLAS's bound on M·N·K for its no-pack (small-matrix) dgemm kernel; only a mix above it is planned.
 _NO_PACK_MNK = 100**3
-# A plan's certification: probe values per row of W, their Generator's seed, and
-# how much faster than the dense product a split must be on them to be used.
+# A plan's certification: probe values per row of W, and their Generator's seed.
 _PROBE_TRIALS = 64
 _PROBE_SEED = 20221
-_SPLIT_ADOPT_RATIO = 0.8
 _PLANS = {}  # id(W) -> {d: W's plan}, each entry dropped when its W is collected
 
 ALGORITHMS = ("ab-dscsc", "scgd", "scsc", "gp-dscgd", "gt-dscgd")
@@ -235,14 +232,15 @@ def _mix(W, x):
     column blocks, added in block order, have the dense bits, and each is small
     enough for OpenBLAS's faster no-pack kernel (row chunks keep it so).  Which
     split the dense product takes depends on n, d, the BLAS core and its thread
-    count, so it is found, not assumed: at W's first mix with a given d, each
-    candidate split is compared byte for byte with the dense product on private
-    probes, and the first one that matches is used if it was clearly faster on
-    them.  Otherwise, and always at n <= ``_K_MIN``, where no split exists,
-    the mix is the dense product.  W must not be written after its first mix.
+    count, so it is found, not assumed: at W's first packed mix (n²·d above
+    ``_NO_PACK_MNK``) with a given d, each candidate split is compared byte for
+    byte with the dense product on private probes, and the first one that
+    matches is used.  Otherwise, and always for a no-pack product, the mix is
+    the dense product.  W must not be written after its first mix.
     """
-    out = np.empty(x.shape)
-    if len(W) <= _K_MIN or (plan := _plan(W, x.shape[-1])) is None:
+    shape = x.shape
+    out = np.empty(shape)
+    if W.size * shape[-1] <= _NO_PACK_MNK or (plan := _plan(W, shape[-1])) is None:  # n²·d
         np.matmul(W, x.swapaxes(0, -2), out=out.swapaxes(0, -2))
     else:
         _split_mix(W, x.swapaxes(0, -2), out.swapaxes(0, -2), plan)
@@ -282,7 +280,7 @@ def _k_candidates(n):
 def _plan(W, d):
     """W's certified ``(column bounds, row chunk)`` for d columns of x, or None for dense.
 
-    Planned at W's first mix with that d, and dropped when W is collected.
+    Planned at W's first packed mix with that d, and dropped when W is collected.
     """
     plans = _PLANS.get(id(W))
     if plans is None:
@@ -294,15 +292,14 @@ def _plan(W, d):
 
 
 def _certify(W, d):
-    """The first candidate split whose bytes equal the dense product's on every probe, if faster.
+    """The first candidate split whose bytes equal the dense product's on every probe.
 
     The probes are ``(n, 1, d)`` normals, at least ``_PROBE_TRIALS`` values per
     row of W, from a fixed-seed Generator of their own, so a run's streams lose no
     draw.  Every other probe is scaled into the subnormal range: a row whose
     products are exact on normal values, such as two weights of 1/2, sums alike
-    in one FMA chain or two there, but its subnormal products round.  The split
-    is used if its median time on the probes is below ``_SPLIT_ADOPT_RATIO`` of
-    the dense product's; either way the bits are the same.
+    in one FMA chain or two there, but its subnormal products round.  None, the
+    dense product, if no candidate matches.
     """
     n = len(W)
     want, got = np.empty((1, n, d)), np.empty((1, n, d))
@@ -310,29 +307,22 @@ def _certify(W, d):
         widest = max(b - a for a, b in zip(bounds, bounds[1:]))
         plan = bounds, max(1, _NO_PACK_MNK // (d * widest))
         rng = np.random.default_rng(_PROBE_SEED)  # the same probes for every candidate
-        dense, split = [], []
         for i in range(max(16, -(-_PROBE_TRIALS // d))):
             x = rng.standard_normal((1, n, d))
             if i % 2:
                 x *= 2.0**-1040
-            t0 = time.perf_counter()
             np.matmul(W, x, out=want)
-            t1 = time.perf_counter()
             _split_mix(W, x, got, plan)
-            split.append(time.perf_counter() - t1)
-            dense.append(t1 - t0)
             if not np.array_equal(want.view(np.int64), got.view(np.int64)):
                 break
         else:
-            dense.sort()
-            split.sort()
-            return plan if split[len(split) // 2] < _SPLIT_ADOPT_RATIO * dense[len(dense) // 2] else None
+            return plan
     return None
 
 
 def mix_blocks(W, d):
     """The column bounds ``_mix`` splits W at for d columns of x, or None for the dense product."""
-    return None if (plan := _plan(W, d)) is None else plan[0]
+    return None if W.size * d <= _NO_PACK_MNK or (plan := _plan(W, d)) is None else plan[0]
 
 
 def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng):
@@ -366,6 +356,7 @@ def scsc_step(state, problem, alpha_k, beta_k, rng):
     g_new, g_old = problem.sample_inner_pair_all(x_new, state.x, rng)
     z_new = _corrected_z(state.z, g_new, g_old, beta_k)
     h_new = problem.sample_grad_all(x_new, z_new, rng)
+    _check_finite(h_new, state.k + 1, "gradient tracker", rng)  # y, as ab_dscsc_step's at n=1
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
 
 
@@ -376,6 +367,7 @@ def scgd_step(state, problem, alpha_k, beta_k, rng):
     g_new, _ = problem.sample_inner_pair_all(x_new, x_new, rng)
     z_new = _corrected_z(state.z, g_new, g_new, beta_k)  # no correction term
     h_new = problem.sample_grad_all(x_new, z_new, rng)
+    _check_finite(h_new, state.k + 1, "gradient tracker", rng)
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
 
 

@@ -116,12 +116,6 @@ def out_of_place_round(algorithm, state, oracle, wp, W, alpha, beta, rng, eta=0.
     return x + beta * (x_tilde - x), z_new, y_new, g if track else None
 
 
-@pytest.fixture
-def split_adopted(monkeypatch):
-    """``_mix`` uses every certified split, faster than the dense product or not."""
-    monkeypatch.setattr(algorithms, "_SPLIT_ADOPT_RATIO", np.inf)
-
-
 # (algorithm, (n, R, d)); n is 1 for scsc and scgd.  At n = 500 the mix may be split at
 # W's K blocks.
 IN_PLACE_CASES = [
@@ -133,7 +127,7 @@ class TestAbStep:
     @pytest.mark.parametrize(
         "algorithm, shape", IN_PLACE_CASES, ids=[f"{a}-{'x'.join(map(str, s))}" for a, s in IN_PLACE_CASES]
     )
-    def test_in_place_rounds_keep_the_out_of_place_bytes(self, algorithm, shape, split_adopted):
+    def test_in_place_rounds_keep_the_out_of_place_bytes(self, algorithm, shape):
         n, R, d = shape
         n = 1 if algorithm in ("scsc", "scgd") else n
         problem = make_quadratic(n, d, seed=n + d, noise_inner=0.2, noise_outer=0.2)
@@ -291,7 +285,7 @@ class TestMixPlan:
     """``_mix`` against the plain stacked product, byte for byte, on the dense or split path."""
 
     @pytest.mark.parametrize("n", [1, 3, 10, 100, 400, 450, 500, 600, 1000])
-    def test_mix_equals_the_stacked_product(self, n, split_adopted):
+    def test_mix_equals_the_stacked_product(self, n):
         start = time.perf_counter()
         W = mix_matrix(n, n)
         for d in (1, 2, 4, 5, 6, 10):
@@ -301,7 +295,7 @@ class TestMixPlan:
             print(f"n={n} d={d}: {algorithms.mix_blocks(W, d) or 'dense'}")
         print(f"n={n}: {time.perf_counter() - start:.2f} s")
 
-    def test_certification_refuses_a_split_the_dense_product_does_not_take(self, monkeypatch, split_adopted):
+    def test_certification_refuses_a_split_the_dense_product_does_not_take(self, monkeypatch):
         # One-thread OpenBLAS GEMM cuts 500 columns at 256 (unroll 16), threaded GEMM
         # at 250, and neither at 255.
         A = ring_weights(500, 500).A
@@ -316,6 +310,36 @@ class TestMixPlan:
         assert certified[(0, 255, 500)] is None
         assert None in (certified[(0, 250, 500)], certified[(0, 256, 500)])
 
+    @pytest.mark.parametrize("n, d", [(500, 1), (500, 2), (500, 4), (1000, 1)])
+    def test_a_no_pack_product_is_not_planned(self, monkeypatch, n, d):
+        # n²·d <= 100³: the dense product is a no-pack product, and no plan is made for it
+        calls = []
+        certify = algorithms._certify
+        monkeypatch.setattr(algorithms, "_certify", lambda W, d: calls.append(d) or certify(W, d))
+        W = mix_matrix(n, n)
+        for R in (1, 3):
+            x = mix_input((n, R, d), seed=R)
+            assert algorithms._mix(W, x).tobytes() == out_of_place_mix(W, x).tobytes()
+        assert algorithms.mix_blocks(W, d) is None
+        assert calls == [] and id(W) not in algorithms._PLANS
+
+    def test_the_plan_is_the_first_split_that_certifies(self, monkeypatch):
+        # (0, 255, 500) is refused (see above); the next candidate is the dense product's
+        # own split, (0, 256, 500) under one-thread SkylakeX GEMM, and it is the plan
+        # without a clock being read
+        A = ring_weights(500, 500).A
+        taken = algorithms.mix_blocks(A.copy(), 5)
+        assert taken is not None and taken != (0, 255, 500)
+        monkeypatch.setattr(algorithms, "_k_candidates", lambda n: [(0, 255, 500), taken])
+
+        def no_clock():
+            raise AssertionError("planning read the clock")
+
+        W = A.copy()  # planned afresh
+        with monkeypatch.context() as m:
+            m.setattr(time, "perf_counter", no_clock)
+            assert algorithms.mix_blocks(W, 5) == taken
+
     def test_a_plan_is_dropped_with_its_matrix(self):
         W = mix_matrix(500, 0)
         algorithms._mix(W, np.ones((500, 1, 5)))
@@ -326,7 +350,7 @@ class TestMixPlan:
         assert ref() is None and key not in algorithms._PLANS
 
     @pytest.mark.parametrize("algorithm", ["ab-dscsc", "gt-dscgd"])
-    def test_planning_draws_nothing(self, monkeypatch, split_adopted, algorithm):
+    def test_planning_draws_nothing(self, monkeypatch, algorithm):
         problem = make_quadratic(500, 5, seed=0, noise_inner=0.1, noise_outer=0.1)
         wp = ring_weights(500, 500)
         # the x-mixing matrix of the run, or for gt-dscgd an equal one
@@ -356,6 +380,17 @@ class TestSingleAgentSteps:
         grad = prob.M[0].T @ (prob.Q[0] @ nxt.z[0, 0] + prob.c[0])
         np.testing.assert_allclose(nxt.y[0, 0], grad)
         assert nxt.k == 2
+
+    @pytest.mark.parametrize("step", [scsc_step, scgd_step])
+    def test_a_runaway_gradient_is_flagged_as_the_tracker(self, step):
+        # a finite iterate whose new gradient, the one agent's tracker, is beyond the limit
+        prob = make_quadratic(1, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
+        rng = ReplicaStreams([0])
+        nxt = step(self.state(np.zeros(2), np.full(2, 1e8), np.zeros(2)), prob, 0.1, 0.4, rng)
+        assert [str(e) for e in rng.diverged] == [
+            "gradient tracker non-finite or beyond 1e+06 at k=2, agent 1, seed 0"
+        ]
+        assert not nxt.y.any() and nxt.h_prev is nxt.y
 
     def test_scsc_step_correction_term(self):
         prob = make_quadratic(1, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
@@ -411,14 +446,9 @@ SINGLE_AGENT_FAMILIES = {
     "maml": lambda: make_sinusoid_maml(1, 20, 2, 0.01, seed=4),
 }
 # R = 20 at d = 2 puts both methods on the quadratic's two-multiply products.  Seed 4 of the
-# MAML batch diverges, and the two methods name its divergence apart: at n = 1 the AB
-# tracker y is the fresh gradient, which the tracker guard checks, while scsc guards only
-# the iterate, so the AB run stops at k = 2 and the scsc run at k = 4.
-SINGLE_AGENT_CASES = [
-    pytest.param(f, R, marks=[pytest.mark.xfail(strict=True, reason="scsc has no gradient guard")])
-    if (f, R) == ("maml", 3) else (f, R)
-    for f in sorted(SINGLE_AGENT_FAMILIES) for R in (1, 3)
-] + [("quadratic-d2", 20)]
+# MAML batch diverges: at n = 1 the AB tracker y is the fresh gradient, and both methods
+# guard it as the gradient tracker, so both stop at k = 2.
+SINGLE_AGENT_CASES = [(f, R) for f in sorted(SINGLE_AGENT_FAMILIES) for R in (1, 3)] + [("quadratic-d2", 20)]
 
 
 class TestRunDriver:

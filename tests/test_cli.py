@@ -10,7 +10,6 @@ import scipy.optimize
 from click.testing import CliRunner
 
 import dscosim
-import dscosim.algorithms as algorithms
 import dscosim.cli as cli
 import dscosim.topology as topology
 from dscosim.cli import main
@@ -213,6 +212,43 @@ class TestRunCommand:
             partial = out / f"run_ab-dscsc_seed{seed}_partial.csv"
             assert "# status = diverged@" in partial.read_text()
         assert not (out / "aggregate.csv").exists()
+
+    def run_rows(self, runner, tmp_path, text):
+        """Run ``text`` from the CLI; each seed's rows, after checking exit code 0."""
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["run", "--config", write(tmp_path, text), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        return [rows_from_csv(p.read_text()) for p in sorted(out.glob("run_*.csv"))]
+
+    SHORT = "agents = 3\niterations = 20\nmetric_stride = 10\nseeds = 0:2\n"
+
+    def test_sigmoid_with_its_own_inner_dim(self, runner, tmp_path):
+        text = "problem = sigmoid\ndim = 3\ninner_dim = 2\ntopology_extra = 1\n"
+        for rows in self.run_rows(runner, tmp_path, text + self.SHORT):
+            assert [r.k for r in rows] == [1, 11, 21]
+            for r in rows:  # no optimum: the gap and residual cells are empty, the rest are not
+                assert r.opt_gap_avg is None and r.residual_avg is None
+                assert None not in (r.consensus_err, r.tracking_err, r.grad_norm_sq)
+
+    def test_maml_has_no_closed_form_columns(self, runner, tmp_path):
+        text = "problem = maml\ntasks_per_agent = 20\nhidden_width = 2\nalpha_a = 0.001\n"
+        for rows in self.run_rows(runner, tmp_path, text + self.SHORT):
+            assert [r.k for r in rows] == [1, 11, 21]
+            for r in rows:
+                assert r.consensus_err is not None
+                assert (r.tracking_err, r.grad_norm_sq, r.opt_gap_avg, r.residual_avg) == (None,) * 4
+
+    def test_constant_sqrtk_schedule(self, runner, tmp_path):
+        text = BASE.replace("alpha_exponent = 0.6", "alpha_schedule = constant-sqrtk")
+        for rows in self.run_rows(runner, tmp_path, text):
+            assert {r.alpha_k for r in rows} == {0.05 / 50**0.5}  # a / sqrt(K), K = 50 iterations
+
+    def test_unknown_alpha_schedule_exit_2(self, runner, tmp_path):
+        out = tmp_path / "o"
+        cfg = write(tmp_path, BASE + "alpha_schedule = cosine\n")
+        res = runner.invoke(main, ["run", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "unknown alpha schedule 'cosine'" in res.output and not out.exists()
 
     def test_determinism_across_invocations(self, runner, tmp_path):
         cfg = write(tmp_path, BASE)
@@ -467,8 +503,7 @@ class TestValidateTopology:
         res = runner.invoke(main, ["validate-topology", "--config", cfg])
         assert res.exit_code == 0
 
-    def test_reports_each_mix_as_dense_or_split(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(algorithms, "_SPLIT_ADOPT_RATIO", float("inf"))  # any certified split
+    def test_reports_each_mix_as_dense_or_split(self, runner, tmp_path):
         cfg = write(tmp_path, "agents = 500\ndim = 5\ntopology_extra = 500\n")
         res = runner.invoke(main, ["validate-topology", "--config", cfg])
         assert res.exit_code == 0
