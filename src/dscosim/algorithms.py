@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,6 @@ _NO_PACK_MNK = 100**3
 # A plan's certification: probe values per row of W, and their Generator's seed.
 _PROBE_TRIALS = 64
 _PROBE_SEED = 20221
-_PLANS = {}  # id(W) -> {d: W's plan}, each entry dropped when its W is collected
 
 ALGORITHMS = ("ab-dscsc", "scgd", "scsc", "gp-dscgd", "gt-dscgd")
 
@@ -217,7 +215,7 @@ def ab_dscsc_init(problem, x0, rng, track=True):
     return NetworkState(k=1, x=x0, z=z, y=y, h_prev=y.copy())
 
 
-def _mix(W, x):
+def _mix(W, x, plan=None):
     """W @ x over the agent axis, one ``(n, d)`` product per replica.
 
     An ``(n, R, d)`` x is multiplied as R stacked products, each with the bits
@@ -226,21 +224,12 @@ def _mix(W, x):
     every other state array: left replica-major, the result slowed the oracles'
     einsums.
 
-    The dense product is the reference, and W's plan may split it.  OpenBLAS
-    sums each entry as one FMA chain per block of its K split (see
-    ``_k_candidates``) and adds the block sums in order, so the products of W's
-    column blocks, added in block order, have the dense bits, and each is small
-    enough for OpenBLAS's faster no-pack kernel (row chunks keep it so).  Which
-    split the dense product takes depends on n, d, the BLAS core and its thread
-    count, so it is found, not assumed: at W's first packed mix (n²·d above
-    ``_NO_PACK_MNK``) with a given d, each candidate split is compared byte for
-    byte with the dense product on private probes, and the first one that
-    matches is used.  Otherwise, and always for a no-pack product, the mix is
-    the dense product.  W must not be written after its first mix.
+    ``plan``, W's ``_certify`` result for x's d, splits the dense product at its
+    own K blocks and keeps its bits.  No plan is looked up here: without one, the
+    mix is the dense product.
     """
-    shape = x.shape
-    out = np.empty(shape)
-    if W.size * shape[-1] <= _NO_PACK_MNK or (plan := _plan(W, shape[-1])) is None:  # n²·d
+    out = np.empty(x.shape)
+    if plan is None:
         np.matmul(W, x.swapaxes(0, -2), out=out.swapaxes(0, -2))
     else:
         _split_mix(W, x.swapaxes(0, -2), out.swapaxes(0, -2), plan)
@@ -277,30 +266,21 @@ def _k_candidates(n):
     return list(found)
 
 
-def _plan(W, d):
-    """W's certified ``(column bounds, row chunk)`` for d columns of x, or None for dense.
-
-    Planned at W's first packed mix with that d, and dropped when W is collected.
-    """
-    plans = _PLANS.get(id(W))
-    if plans is None:
-        plans = _PLANS[id(W)] = {}
-        weakref.finalize(W, _PLANS.pop, id(W), None)
-    if d not in plans:
-        plans[d] = _certify(W, d)
-    return plans[d]
-
-
 def _certify(W, d):
-    """The first candidate split whose bytes equal the dense product's on every probe.
+    """W's plan for d columns of x, ``(column bounds, row chunk)``, or None for dense.
 
-    The probes are ``(n, 1, d)`` normals, at least ``_PROBE_TRIALS`` values per
-    row of W, from a fixed-seed Generator of their own, so a run's streams lose no
-    draw.  Every other probe is scaled into the subnormal range: a row whose
-    products are exact on normal values, such as two weights of 1/2, sums alike
-    in one FMA chain or two there, but its subnormal products round.  None, the
-    dense product, if no candidate matches.
+    OpenBLAS sums each entry as one FMA chain per block of its K split and adds the
+    block sums in order, so W's column blocks at that split, added in block order,
+    have the dense bits, and each fits OpenBLAS's faster no-pack kernel.  The split
+    depends on n, d, the BLAS core and its threads, so a packed product (n²·d above
+    ``_NO_PACK_MNK``) takes the first candidate with the dense bytes on every probe:
+    ``(n, 1, d)`` normals, at least ``_PROBE_TRIALS`` values per row of W, from a
+    fixed-seed Generator of their own, so a run's streams lose no draw.  Every other
+    probe is subnormal: a row whose products are exact on normal values, such as two
+    weights of 1/2, sums alike in one FMA chain or two there, but not there.
     """
+    if W.size * d <= _NO_PACK_MNK:
+        return None
     n = len(W)
     want, got = np.empty((1, n, d)), np.empty((1, n, d))
     for bounds in _k_candidates(n):
@@ -320,25 +300,31 @@ def _certify(W, d):
     return None
 
 
-def mix_blocks(W, d):
-    """The column bounds ``_mix`` splits W at for d columns of x, or None for the dense product."""
-    return None if W.size * d <= _NO_PACK_MNK or (plan := _plan(W, d)) is None else plan[0]
+def mixers(algorithm, weights, d):
+    """Yield ``(name, matrix, plan)`` for each matrix ``algorithm`` mixes with, at d columns
+    of x; W (Metropolis, on ``graph_A``) and each plan are made once per pair, in ``mixing``."""
+    for name in {"ab-dscsc": "AB", "gp-dscgd": "W", "gt-dscgd": "W"}.get(algorithm, ""):
+        if name == "W" and "W" not in weights.mixing:
+            weights.mixing["W"] = underlying_metropolis(weights.graph_A)
+        M = weights.mixing["W"] if name == "W" else getattr(weights, name)
+        if (name, d) not in weights.mixing:
+            weights.mixing[name, d] = _certify(M, d)
+        yield name, M, weights.mixing[name, d]
 
 
-def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng):
-    """One synchronous round: pull-mix x, correct z, push-track y."""
+def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng, plans=(None, None)):
+    """One synchronous round: pull-mix x, correct z, push-track y; ``plans`` are A's and B's."""
     if not 0.0 < beta_k <= 1.0:
         raise ConfigurationError(f"beta_k must be in (0, 1], got {beta_k}")
-    A, B = weights.A, weights.B
     x_step = alpha_k * state.y
     np.subtract(state.x, x_step, out=x_step)  # x - alpha·y
-    x_new = _mix(A, x_step)
+    x_new = _mix(weights.A, x_step, plans[0])
     _check_finite(x_new, state.k + 1, "iterate", rng)
     g_new, g_old = problem.sample_inner_pair_all(x_new, state.x, rng)
     z_new = _corrected_z(state.z, g_new, g_old, beta_k)
     h_new = problem.sample_grad_all(x_new, z_new, rng)
     # associate so that the n=1 case (B y == h_prev) reduces to y_new == h_new exactly
-    y_new = _mix(B, state.y)
+    y_new = _mix(weights.B, state.y, plans[1])
     y_new -= state.h_prev
     y_new += h_new
     _check_finite(y_new, state.k + 1, "gradient tracker", rng)
@@ -371,22 +357,22 @@ def scgd_step(state, problem, alpha_k, beta_k, rng):
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
 
 
-def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track):
-    """One GP-DSCGD (track=False) or GT-DSCGD (track=True) round."""
+def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track, plan=None):
+    """One GP-DSCGD (track=False) or GT-DSCGD (track=True) round; ``plan`` is W's."""
     if gamma * beta_k > 1.0:
         raise ConfigurationError(f"gamma*beta_k = {gamma * beta_k} exceeds 1")
     g_inner, _ = problem.sample_inner_pair_all(state.x, state.x, rng)
     z_new = _corrected_z(state.z, g_inner, g_inner, gamma * beta_k)  # no correction term
     g = problem.sample_grad_all(state.x, z_new, rng)
     if track:
-        y_new = _mix(W, state.y)
+        y_new = _mix(W, state.y, plan)
         y_new += g
         y_new -= state.h_prev
         direction = y_new
     else:
         y_new = None
         direction = g
-    x_new = _mix(W, state.x)  # x + beta·((W x - eta·direction) - x)
+    x_new = _mix(W, state.x, plan)  # x + beta·((W x - eta·direction) - x)
     x_new -= eta * direction
     x_new -= state.x
     x_new *= beta_k
@@ -413,15 +399,16 @@ def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
     generator returns once none is left.  The caller validates the arguments.
     """
     dscgd = algorithm in ("gp-dscgd", "gt-dscgd")
-    W = underlying_metropolis(weights.graph_A) if dscgd else None
+    mixed = list(mixers(algorithm, weights, problem.d))  # planned before the first yield
+    W, plans = (mixed[0][1] if dscgd else None), [plan for _, _, plan in mixed]
     track = algorithm != "gp-dscgd"  # the one method without a gradient tracker
     for k in range(K + 1):
         if k == 0:
             state = ab_dscsc_init(problem, _default_x0(problem, rng), rng, track=track)
         elif algorithm == "ab-dscsc":
-            state = ab_dscsc_step(state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng)
+            state = ab_dscsc_step(state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng, plans)
         elif dscgd:
-            state = dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track)
+            state = dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track, *plans)
         elif algorithm == "scsc":
             state = scsc_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
         else:

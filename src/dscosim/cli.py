@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .algorithms import mix_blocks, run
+from .algorithms import mixers, run
 from .config import load_config
 from .errors import (
     AssumptionError,
@@ -193,10 +193,10 @@ def cmd_validate_topology(config_path):
     click.echo(f"v = {np.array2string(wp.v, precision=6)}")
     click.echo(f"tau_A = {wp.tau_A:.6f}")
     click.echo(f"tau_B = {wp.tau_B:.6f}")
-    for name, W in (("A", wp.A), ("B", wp.B)):
-        bounds = mix_blocks(W, cfg["dim"])
-        blocks = " ".join(f"[{a}, {b})" for a, b in zip(bounds, bounds[1:])) if bounds else ""
-        click.echo(f"mix {name} at dim {cfg['dim']}: {'split ' + blocks if bounds else 'dense'}")
+    d = cfg.build_problem().d  # a MAML config mixes its network's parameters, not `dim`
+    for name, _, plan in mixers(cfg["algorithm"], wp, d):
+        blocks = " ".join(f"[{a}, {b})" for a, b in zip(plan[0], plan[0][1:])) if plan else ""
+        click.echo(f"mix {name} at dim {d}: {'split ' + blocks if plan else 'dense'}")
     if not (wp.tau_A < 1 and wp.tau_B < 1):
         _fail(1, "contraction factor not below 1")
 

@@ -83,13 +83,25 @@ def _search(adjacency, r, seen):
 
 @dataclass(frozen=True)
 class WeightPair:
-    """Row-stochastic A, column-stochastic B, Perron vectors and contraction factors."""
+    """Row-stochastic A, column-stochastic B, Perron vectors and contraction factors.
+
+    ``mixing`` holds W and the mix plans, made once (``algorithms.mixers``) on read-only
+    matrices; a plan holds only under its BLAS core and threads, so it is not pickled.
+    """
 
     A: np.ndarray
     B: np.ndarray
     u: np.ndarray  # left Perron vector of A, u^T 1 = n
     v: np.ndarray  # right Perron vector of B, 1^T v = n
     graph_A: DirectedGraph  # graph A was built on; GP/GT take Metropolis weights on it
+    mixing: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "mixing": {}}  # the cached tau_A and tau_B travel
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.A.flags.writeable = self.B.flags.writeable = False  # unpickled, they are writeable
 
     @property
     def n(self):
@@ -200,9 +212,8 @@ def build_weight_pair(gA, gBt):
     # B through its transpose, so it stays C-ordered (_mix's BLAS kernel depends
     # on layout) and no transposed copy is made
     _in_weights(gBt, B.T)
-    u = _perron_left(A)
-    v = _perron_left(B.T)
-    return WeightPair(A=A, B=B, u=u, v=v, graph_A=gA)
+    A.flags.writeable = B.flags.writeable = False  # a mix plan holds for these nonzeros only
+    return WeightPair(A=A, B=B, u=_perron_left(A), v=_perron_left(B.T), graph_A=gA)
 
 
 def underlying_metropolis(g):
@@ -218,4 +229,5 @@ def underlying_metropolis(g):
     W = np.zeros((g.n, g.n))
     W[j, i] = W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(W, 1.0 - W.sum(1))
+    W.flags.writeable = False  # a mix plan holds for these nonzeros only, as for A and B
     return W

@@ -1,7 +1,6 @@
-import gc
+import pickle
 import time
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -49,12 +48,13 @@ def sched(a=0.05, b=0.0, e=0.0, beta=1.0):
     return StepSchedule(Polynomial(a, b, e), beta=beta)
 
 
-def step_functions(problem, wp, W, schedule, rng, eta=0.03, gamma=3.0):
-    """Each algorithm's library step as ``step(state, k)``, with the schedule's k-th values."""
+def step_functions(problem, wp, W, schedule, rng, eta=0.03, gamma=3.0, plans=(None, None)):
+    """Each algorithm's library step as ``step(state, k)``, with the schedule's k-th values
+    and the mix plans ``plans``: A's and B's, or W's first."""
     return {
-        "ab-dscsc": lambda st, k: ab_dscsc_step(st, problem, wp, schedule.alpha(k), schedule.beta_of(k), rng),
-        "gp-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, False),
-        "gt-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, True),
+        "ab-dscsc": lambda st, k: ab_dscsc_step(st, problem, wp, schedule.alpha(k), schedule.beta_of(k), rng, plans),
+        "gp-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, False, plans[0]),
+        "gt-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, True, plans[0]),
         "scsc": lambda st, k: scsc_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
         "scgd": lambda st, k: scgd_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
     }
@@ -116,8 +116,8 @@ def out_of_place_round(algorithm, state, oracle, wp, W, alpha, beta, rng, eta=0.
     return x + beta * (x_tilde - x), z_new, y_new, g if track else None
 
 
-# (algorithm, (n, R, d)); n is 1 for scsc and scgd.  At n = 500 the mix may be split at
-# W's K blocks.
+# (algorithm, (n, R, d)); n is 1 for scsc and scgd.  At n = 500 the mix is split at its
+# matrix's K blocks.
 IN_PLACE_CASES = [
     (algorithm, shape) for algorithm in ALGORITHMS for shape in [(10, 1, 5), (3, 50, 2), (10, 2, 10)]
 ] + [(algorithm, (500, R, 5)) for algorithm in ("ab-dscsc", "gt-dscgd") for R in (1, 2)]
@@ -127,19 +127,26 @@ class TestAbStep:
     @pytest.mark.parametrize(
         "algorithm, shape", IN_PLACE_CASES, ids=[f"{a}-{'x'.join(map(str, s))}" for a, s in IN_PLACE_CASES]
     )
-    def test_in_place_rounds_keep_the_out_of_place_bytes(self, algorithm, shape):
+    def test_in_place_rounds_keep_the_out_of_place_bytes(self, monkeypatch, algorithm, shape):
         n, R, d = shape
         n = 1 if algorithm in ("scsc", "scgd") else n
         problem = make_quadratic(n, d, seed=n + d, noise_inner=0.2, noise_outer=0.2)
         g = generate_ring_plus_random(n, n // 2, 0) if n > 1 else DirectedGraph(1)
-        wp, W = build_weight_pair(g, g), underlying_metropolis(g)
+        wp = build_weight_pair(g, g)
+        # the matrices and plans rounds() hands the steps: A and B, or the pair's own W
+        mixed = list(algorithms.mixers(algorithm, wp, d))
+        W = mixed[0][1] if algorithm.endswith("dscgd") else None
+        plans = [plan for _, _, plan in mixed]
+        splits = []
+        split_mix = algorithms._split_mix
+        monkeypatch.setattr(algorithms, "_split_mix", lambda *a: splits.append(a[-1]) or split_mix(*a))
         schedule = StepSchedule(Polynomial(0.1, 1.0, 0.6), beta=2.0)
         x0 = np.random.default_rng(1).normal(size=(n, R, d))
         streams = [ReplicaStreams(range(R)) for _ in "ab"]
         track = algorithm != "gp-dscgd"
 
         state = ab_dscsc_init(problem, x0, streams[0], track=track)
-        step = step_functions(problem, wp, W, schedule, streams[0])[algorithm]
+        step = step_functions(problem, wp, W, schedule, streams[0], plans=plans)[algorithm]
         oracle, rng = OutOfPlaceQuadratic(problem), streams[1]
         z, _ = oracle.sample_inner_pair_all(x0, x0, rng)
         y = oracle.sample_grad_all(x0, z, rng) if track else None
@@ -154,8 +161,10 @@ class TestAbStep:
                 assert got is None
                 continue
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        if n == 500:  # the case covers the split mix
-            assert algorithms.mix_blocks(W if algorithm == "gt-dscgd" else wp.A, d) is not None
+        if n == 500:  # the case covers the split mix: every mix of the steps took its plan
+            assert None not in plans and splits and all(plan in plans for plan in splits)
+        else:
+            assert splits == []
 
     def test_zero_noise_hand_computed_round(self):
         prob = make_quadratic(3, 2, seed=1, noise_inner=0.0, noise_outer=0.0)
@@ -282,17 +291,19 @@ def mix_input(shape, seed):
 
 
 class TestMixPlan:
-    """``_mix`` against the plain stacked product, byte for byte, on the dense or split path."""
+    """``_mix`` against the plain stacked product, byte for byte, on the dense or split path,
+    with the plan a weight pair certifies for its matrix (``_certify``, through ``mixers``)."""
 
     @pytest.mark.parametrize("n", [1, 3, 10, 100, 400, 450, 500, 600, 1000])
     def test_mix_equals_the_stacked_product(self, n):
         start = time.perf_counter()
         W = mix_matrix(n, n)
         for d in (1, 2, 4, 5, 6, 10):
+            plan = algorithms._certify(W, d)
             for R in (1, 2, 3):
                 x = mix_input((n, R, d), seed=7 * d + R)
-                assert algorithms._mix(W, x).tobytes() == out_of_place_mix(W, x).tobytes(), (d, R)
-            print(f"n={n} d={d}: {algorithms.mix_blocks(W, d) or 'dense'}")
+                assert algorithms._mix(W, x, plan).tobytes() == out_of_place_mix(W, x).tobytes(), (d, R)
+            print(f"n={n} d={d}: {plan[0] if plan else 'dense'}")
         print(f"n={n}: {time.perf_counter() - start:.2f} s")
 
     def test_certification_refuses_a_split_the_dense_product_does_not_take(self, monkeypatch):
@@ -303,64 +314,82 @@ class TestMixPlan:
         certified = {}
         for bounds in [(0, 255, 500), (0, 250, 500), (0, 256, 500)]:
             monkeypatch.setattr(algorithms, "_k_candidates", lambda n, bounds=bounds: [bounds])
-            W = A.copy()  # planned afresh
-            assert algorithms._mix(W, x).tobytes() == out_of_place_mix(A, x).tobytes()
-            certified[bounds] = algorithms.mix_blocks(W, 5)
+            plan = algorithms._certify(A, 5)
+            assert algorithms._mix(A, x, plan).tobytes() == out_of_place_mix(A, x).tobytes()
+            certified[bounds] = plan and plan[0]
             assert certified[bounds] in (None, bounds)
         assert certified[(0, 255, 500)] is None
         assert None in (certified[(0, 250, 500)], certified[(0, 256, 500)])
 
     @pytest.mark.parametrize("n, d", [(500, 1), (500, 2), (500, 4), (1000, 1)])
     def test_a_no_pack_product_is_not_planned(self, monkeypatch, n, d):
-        # n²·d <= 100³: the dense product is a no-pack product, and no plan is made for it
-        calls = []
-        certify = algorithms._certify
-        monkeypatch.setattr(algorithms, "_certify", lambda W, d: calls.append(d) or certify(W, d))
+        # n²·d <= 100³: the dense product is a no-pack product, and no split is tried for it
+        monkeypatch.setattr(algorithms, "_k_candidates", lambda n: pytest.fail("a split was tried"))
         W = mix_matrix(n, n)
+        assert algorithms._certify(W, d) is None
         for R in (1, 3):
             x = mix_input((n, R, d), seed=R)
             assert algorithms._mix(W, x).tobytes() == out_of_place_mix(W, x).tobytes()
-        assert algorithms.mix_blocks(W, d) is None
-        assert calls == [] and id(W) not in algorithms._PLANS
 
     def test_the_plan_is_the_first_split_that_certifies(self, monkeypatch):
         # (0, 255, 500) is refused (see above); the next candidate is the dense product's
         # own split, (0, 256, 500) under one-thread SkylakeX GEMM, and it is the plan
         # without a clock being read
         A = ring_weights(500, 500).A
-        taken = algorithms.mix_blocks(A.copy(), 5)
-        assert taken is not None and taken != (0, 255, 500)
-        monkeypatch.setattr(algorithms, "_k_candidates", lambda n: [(0, 255, 500), taken])
+        taken = algorithms._certify(A, 5)
+        assert taken is not None and taken[0] != (0, 255, 500)
+        monkeypatch.setattr(algorithms, "_k_candidates", lambda n: [(0, 255, 500), taken[0]])
 
         def no_clock():
             raise AssertionError("planning read the clock")
 
-        W = A.copy()  # planned afresh
         with monkeypatch.context() as m:
             m.setattr(time, "perf_counter", no_clock)
-            assert algorithms.mix_blocks(W, 5) == taken
+            assert algorithms._certify(A, 5) == taken
 
-    def test_a_plan_is_dropped_with_its_matrix(self):
-        W = mix_matrix(500, 0)
-        algorithms._mix(W, np.ones((500, 1, 5)))
-        key, ref = id(W), weakref.ref(W)
-        assert key in algorithms._PLANS
-        del W
-        gc.collect()
-        assert ref() is None and key not in algorithms._PLANS
+    def test_a_pair_certifies_each_matrix_once(self, monkeypatch):
+        # gt-dscgd mixes with W, ab-dscsc with A and B: three plans for five runs
+        certified = []
+        certify = algorithms._certify
+        monkeypatch.setattr(algorithms, "_certify", lambda M, d: certified.append(M) or certify(M, d))
+        problem = make_quadratic(500, 5, seed=0, noise_inner=0.1, noise_outer=0.1)
+        wp = ring_weights(500, 500)
+        for algorithm in ["gt-dscgd"] * 3 + ["ab-dscsc"] * 2:
+            run(algorithm, problem, sched(), 1, weights=wp, seed=3)
+        mixed = (wp.mixing["W"], wp.A, wp.B)
+        assert len(certified) == 3 and all(a is b for a, b in zip(certified, mixed))
+
+    def test_the_pair_matrices_are_read_only(self):
+        wp = ring_weights(10, 5)
+        [(_, W, _)] = algorithms.mixers("gt-dscgd", wp, 2)
+        for M in (wp.A, wp.B, W):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 0.5
+
+    def test_a_pickled_pair_arrives_without_plans(self):
+        wp = ring_weights(500, 500)
+        for algorithm in ("ab-dscsc", "gt-dscgd"):
+            list(algorithms.mixers(algorithm, wp, 5))
+        tau_A, table = wp.tau_A, dict(wp.mixing)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            sent = pickle.loads(pickle.dumps(wp, protocol))
+            for name in "ABuv":
+                assert getattr(sent, name).tobytes() == getattr(wp, name).tobytes()
+            assert not sent.A.flags.writeable and not sent.B.flags.writeable
+            assert sent.mixing == {} and vars(sent)["tau_A"] == tau_A  # cached, not recomputed
+        assert wp.mixing == table  # the sender keeps its plans
 
     @pytest.mark.parametrize("algorithm", ["ab-dscsc", "gt-dscgd"])
     def test_planning_draws_nothing(self, monkeypatch, algorithm):
         problem = make_quadratic(500, 5, seed=0, noise_inner=0.1, noise_outer=0.1)
         wp = ring_weights(500, 500)
-        # the x-mixing matrix of the run, or for gt-dscgd an equal one
-        mixed = underlying_metropolis(wp.graph_A) if algorithm == "gt-dscgd" else wp.A
         planned = csv_lines(run(algorithm, problem, sched(), 10, weights=wp, seed=3, metric_stride=5))
-        assert algorithms.mix_blocks(mixed, 5) is not None
+        # the x-mixing matrix's plan, kept on the pair
+        assert next(algorithms.mixers(algorithm, wp, 5))[2] is not None
         monkeypatch.setattr(algorithms, "_k_candidates", lambda n: [])
-        monkeypatch.setattr(algorithms, "_PLANS", {})
-        assert csv_lines(run(algorithm, problem, sched(), 10, weights=wp, seed=3, metric_stride=5)) == planned
-        assert algorithms.mix_blocks(mixed, 5) is None
+        dense = pickle.loads(pickle.dumps(wp))  # the same pair with an empty table
+        assert csv_lines(run(algorithm, problem, sched(), 10, weights=dense, seed=3, metric_stride=5)) == planned
+        assert all(plan is None for _, _, plan in algorithms.mixers(algorithm, dense, 5))
 
 
 class TestSingleAgentSteps:

@@ -503,19 +503,46 @@ class TestValidateTopology:
         res = runner.invoke(main, ["validate-topology", "--config", cfg])
         assert res.exit_code == 0
 
-    def test_reports_each_mix_as_dense_or_split(self, runner, tmp_path):
-        cfg = write(tmp_path, "agents = 500\ndim = 5\ntopology_extra = 500\n")
-        res = runner.invoke(main, ["validate-topology", "--config", cfg])
-        assert res.exit_code == 0
-        for name in "AB":
-            (line,) = [l for l in res.output.splitlines() if l.startswith(f"mix {name} at dim 5: ")]
-            plan = line.split(": ", 1)[1]
+    @staticmethod
+    def mixes(output, n):
+        """``{name: dim}`` of the output's mix lines, each checked to read dense or a split of n."""
+        found = {}
+        for line in output.splitlines():
+            if not line.startswith("mix "):
+                continue
+            head, plan = line.split(": ", 1)
+            _, name, _, _, dim = head.split()
+            found[name] = int(dim)
             if plan == "dense":
                 continue
             assert plan.startswith("split [")
             blocks = [tuple(map(int, b.strip("[)").split(", "))) for b in plan[len("split ") :].split(") [")]
-            assert blocks[0][0] == 0 and blocks[-1][1] == 500 and len(blocks) > 1
+            assert blocks[0][0] == 0 and blocks[-1][1] == n and len(blocks) > 1
             assert all(a < b for a, b in blocks) and all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+        return found
+
+    def test_reports_each_mix_as_dense_or_split(self, runner, tmp_path):
+        cfg = write(tmp_path, "agents = 500\ndim = 5\ntopology_extra = 500\n")
+        res = runner.invoke(main, ["validate-topology", "--config", cfg])
+        assert res.exit_code == 0
+        assert self.mixes(res.output, 500) == {"A": 5, "B": 5}
+
+    @pytest.mark.parametrize(
+        "text, mixed",
+        [
+            # the MAML network's parameters: h² + 4h + 1 = 97 at hidden width 8, not `dim`
+            ("problem = maml\nagents = 3\n", {"A": 97, "B": 97}),
+            ("algorithm = gt-dscgd\nagents = 500\ndim = 5\ntopology_extra = 500\n", {"W": 5}),
+            ("algorithm = gp-dscgd\nagents = 3\n", {"W": 2}),
+            ("algorithm = scsc\nagents = 1\n", {}),
+        ],
+        ids=["maml", "gt-dscgd", "gp-dscgd", "scsc"],
+    )
+    def test_reports_the_matrices_the_algorithm_mixes_at_the_problem_dim(self, runner, tmp_path, text, mixed):
+        cfg = write(tmp_path, text)
+        res = runner.invoke(main, ["validate-topology", "--config", cfg])
+        assert res.exit_code == 0, res.output
+        assert self.mixes(res.output, load_config(cfg)["agents"]) == mixed
 
 
 class TestNormalityCommand:
