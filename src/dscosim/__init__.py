@@ -17,7 +17,7 @@ from .algorithms import (
     scgd_step,
     scsc_step,
 )
-from .schedules import ConstantSqrtK, Polynomial, StepSchedule
+from .schedules import Polynomial, StepSchedule
 from .topology import (
     DirectedGraph,
     WeightPair,
@@ -38,7 +38,6 @@ __all__ = [
     "underlying_metropolis",
     "StepSchedule",
     "Polynomial",
-    "ConstantSqrtK",
     "ab_dscsc_init",
     "ab_dscsc_step",
     "scgd_step",

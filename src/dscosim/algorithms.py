@@ -5,7 +5,8 @@ Implemented methods:
 * ``ab-dscsc`` — push-pull gradient tracking with stochastically corrected
   inner-value tracking, over a directed graph pair (A row-stochastic,
   B column-stochastic).
-* ``scgd`` / ``scsc`` — single-agent compositional baselines.
+* ``scgd`` / ``scsc`` — single-agent compositional baselines: one round, which
+  differs between them only in SCSC's inner correction.
 * ``gp-dscgd`` / ``gt-dscgd`` — doubly stochastic baselines on the
   symmetrized graph, without/with gradient tracking.
 
@@ -331,30 +332,30 @@ def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng, plans=(None, No
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=y_new, h_prev=h_new)
 
 
+def _single_agent_step(state, problem, alpha_k, beta_k, rng, corrected):
+    """One single-agent round.  ``corrected`` (SCSC) maps the old point with the new under
+    one draw, for z's correction; without it (SCGD) the pair maps the new point alone."""
+    x_new = state.x - alpha_k * state.y
+    _check_finite(x_new, state.k + 1, "iterate", rng)
+    g_new, g_old = problem.sample_inner_pair_all(x_new, state.x if corrected else x_new, rng)
+    z_new = _corrected_z(state.z, g_new, g_old if corrected else g_new, beta_k)
+    h_new = problem.sample_grad_all(x_new, z_new, rng)
+    _check_finite(h_new, state.k + 1, "gradient tracker", rng)  # y, as ab_dscsc_step's at n=1
+    return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
+
+
 def scsc_step(state, problem, alpha_k, beta_k, rng):
     """Single-agent stochastically corrected step: descend along y, correct z, redraw y.
 
     Written apart from ``ab_dscsc_step`` so that the n=1 reduction test compares
     two implementations.
     """
-    x_new = state.x - alpha_k * state.y
-    _check_finite(x_new, state.k + 1, "iterate", rng)
-    g_new, g_old = problem.sample_inner_pair_all(x_new, state.x, rng)
-    z_new = _corrected_z(state.z, g_new, g_old, beta_k)
-    h_new = problem.sample_grad_all(x_new, z_new, rng)
-    _check_finite(h_new, state.k + 1, "gradient tracker", rng)  # y, as ab_dscsc_step's at n=1
-    return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
+    return _single_agent_step(state, problem, alpha_k, beta_k, rng, corrected=True)
 
 
 def scgd_step(state, problem, alpha_k, beta_k, rng):
     """Single-agent two-timescale baseline: descend along y, average z plainly, redraw y."""
-    x_new = state.x - alpha_k * state.y
-    _check_finite(x_new, state.k + 1, "iterate", rng)
-    g_new, _ = problem.sample_inner_pair_all(x_new, x_new, rng)
-    z_new = _corrected_z(state.z, g_new, g_new, beta_k)  # no correction term
-    h_new = problem.sample_grad_all(x_new, z_new, rng)
-    _check_finite(h_new, state.k + 1, "gradient tracker", rng)
-    return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
+    return _single_agent_step(state, problem, alpha_k, beta_k, rng, corrected=False)
 
 
 def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track, plan=None):
@@ -402,6 +403,7 @@ def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
     mixed = list(mixers(algorithm, weights, problem.d))  # planned before the first yield
     W, plans = (mixed[0][1] if dscgd else None), [plan for _, _, plan in mixed]
     track = algorithm != "gp-dscgd"  # the one method without a gradient tracker
+    corrected = algorithm == "scsc"  # the single-agent method with the inner correction
     for k in range(K + 1):
         if k == 0:
             state = ab_dscsc_init(problem, _default_x0(problem, rng), rng, track=track)
@@ -409,10 +411,8 @@ def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
             state = ab_dscsc_step(state, problem, weights, schedule.alpha(k), schedule.beta_of(k), rng, plans)
         elif dscgd:
             state = dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track, *plans)
-        elif algorithm == "scsc":
-            state = scsc_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
         else:
-            state = scgd_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng)
+            state = _single_agent_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng, corrected)
         if rng.diverged and rng.diverged[-1].seed in rng.seeds:  # flagged in this round
             gone = {err.seed for err in rng.diverged}
             rows = [r for r, s in enumerate(rng.seeds) if s not in gone]

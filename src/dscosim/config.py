@@ -12,14 +12,14 @@ import numbers
 from dataclasses import dataclass, field
 
 from .algorithms import ALGORITHMS
-from .errors import ConfigurationError
+from .errors import AssumptionError, ConfigurationError
 from .problems import (
     make_logistic_cso,
     make_quadratic,
     make_sigmoid_quadratic,
     make_sinusoid_maml,
 )
-from .schedules import ConstantSqrtK, Polynomial, StepSchedule
+from .schedules import Polynomial, StepSchedule
 from .topology import build_weight_pair, check_assumption2, generate_ring_plus_random
 
 _DEFAULTS = {
@@ -172,13 +172,13 @@ class ExperimentConfig:
     def build_weights(self):
         g = self.build_graph()
         if not check_assumption2(g, g):
-            raise ConfigurationError("generated topology violates the network assumption")
+            raise AssumptionError("generated topology violates the network assumption")
         return build_weight_pair(g, g)
 
     def build_schedule(self):
         v = self.values
-        if v["alpha_schedule"] == "constant-sqrtk":
-            rule = ConstantSqrtK(v["alpha_a"], v["iterations"])
+        if v["alpha_schedule"] == "constant-sqrtk":  # a / sqrt(K): (k + 0.0)**0.0 is exactly 1.0
+            rule = Polynomial(v["alpha_a"] / v["iterations"] ** 0.5, 0.0, 0.0)
         else:
             rule = Polynomial(v["alpha_a"], v["alpha_b"], v["alpha_exponent"])
         return StepSchedule(

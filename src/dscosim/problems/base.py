@@ -170,3 +170,31 @@ class ProblemOracle:
 
     def normality_data(self):
         raise CapabilityError(f"{type(self).__name__} has no normality data")
+
+
+@dataclass(frozen=True)
+class AdditiveNoiseProblem(ProblemOracle):
+    """A family with G_i(x; phi) = _inner_map(x)_i + phi, phi ~ N(0, sigma_phi^2 I_p), and outer
+    noise of scale sigma_zeta; the σ fields are keyword-only, after the family's own fields."""
+
+    sigma_phi: float = field(kw_only=True)
+    sigma_zeta: float = field(kw_only=True)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _draw_size(self):
+        return self.n, self.p
+
+    @cached_property
+    def _noise_scales(self):
+        """sigma_phi and sigma_zeta as 0-d arrays, which a ufunc takes without converting a
+        Python float each call; the product is the same float64 multiply."""
+        return np.array(self.sigma_phi), np.array(self.sigma_zeta)
+
+    def sample_inner_pair_all(self, X_new, X_old, rng):
+        phi = rng.normal(size=self._draw_size) * self._noise_scales[0]
+        # The old point first: it is the last round's new point, whose image is kept.
+        old = kept_map(self._cache, self._inner_map, X_old)
+        g_new = kept_map(self._cache, self._inner_map, X_new) + phi
+        phi += old  # G(X_old) = map(X_old) + phi: a sum has the same bits in either order
+        return g_new, phi

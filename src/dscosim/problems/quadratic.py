@@ -8,13 +8,13 @@ normality experiments need (optimum, Hessian, noise covariances) is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import NormalityData, ProblemOracle, agent_matvec, each_point, einsum, kept_map
+from .base import AdditiveNoiseProblem, NormalityData, agent_matvec, each_point, einsum
 
 # The d = 2 products run as two multiplies from this many replicas on, where they beat einsum
 # on every measured shape (CHANGES.md).  R = 1, where einsum takes a fast path, and other d
@@ -23,13 +23,10 @@ CONTRACT_MIN_REPLICAS = 20
 
 
 @dataclass(frozen=True)
-class QuadraticProblem(ProblemOracle):
+class QuadraticProblem(AdditiveNoiseProblem):
     M: np.ndarray  # (n, d, d) inner maps
     Q: np.ndarray  # (n, d, d) symmetric PD outer curvatures
     c: np.ndarray  # (n, d) outer noise means
-    sigma_phi: float
-    sigma_zeta: float
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     has_true_g = True
     has_true_grad = True
@@ -43,17 +40,9 @@ class QuadraticProblem(ProblemOracle):
     def d(self):
         return self.M.shape[2]
 
+    p = d  # the inner map is square
+
     # -- sampling -----------------------------------------------------------
-
-    @cached_property
-    def _draw_size(self):
-        return self.n, self.d
-
-    @cached_property
-    def _noise_scales(self):
-        """sigma_phi and sigma_zeta as 0-d arrays, which a ufunc takes without converting a
-        Python float each call; the product is the same float64 multiply."""
-        return np.array(self.sigma_phi), np.array(self.sigma_zeta)
 
     @cached_property
     def _c_view(self):
@@ -92,14 +81,6 @@ class QuadraticProblem(ProblemOracle):
 
     def _inner_map(self, X):
         return self._agent_product("nij,n...j->n...i", "M", X)
-
-    def sample_inner_pair_all(self, X_new, X_old, rng):
-        phi = rng.normal(size=self._draw_size) * self._noise_scales[0]
-        # The old point first: it is the last round's new point, whose product is kept.
-        old = kept_map(self._cache, self._inner_map, X_old)
-        g_new = kept_map(self._cache, self._inner_map, X_new) + phi
-        phi += old  # G(X_old) = M X_old + phi
-        return g_new, phi
 
     def sample_grad_all(self, X, Z, rng):
         zeta = rng.normal(size=self._draw_size) * self._noise_scales[1]

@@ -9,22 +9,18 @@ which makes this family the workhorse for stationarity-rate experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import ProblemOracle, agent_matvec, einsum, kept_map, per_agent
+from .base import AdditiveNoiseProblem, agent_matvec, einsum, kept_map, per_agent
 
 
 @dataclass(frozen=True)
-class SigmoidQuadraticProblem(ProblemOracle):
+class SigmoidQuadraticProblem(AdditiveNoiseProblem):
     W: np.ndarray  # (n, p, d)
     t: np.ndarray  # (n, p) outer targets
-    sigma_phi: float
-    sigma_zeta: float
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     has_true_g = True
     has_true_grad = True
@@ -41,24 +37,8 @@ class SigmoidQuadraticProblem(ProblemOracle):
     def d(self):
         return self.W.shape[2]
 
-    @cached_property
-    def _draw_size(self):
-        return self.n, self.p
-
-    @cached_property
-    def _noise_scales(self):
-        """sigma_phi and sigma_zeta as 0-d arrays, which a ufunc takes without converting a
-        Python float each call; the product is the same float64 multiply."""
-        return np.array(self.sigma_phi), np.array(self.sigma_zeta)
-
     def _inner_map(self, X):
         return np.tanh(einsum("npd,n...d->n...p", self.W, X))
-
-    def sample_inner_pair_all(self, X_new, X_old, rng):
-        phi = rng.normal(size=self._draw_size) * self._noise_scales[0]
-        # The old point first: it is the last round's new point, whose image is kept.
-        old = kept_map(self._cache, self._inner_map, X_old)
-        return kept_map(self._cache, self._inner_map, X_new) + phi, old + phi
 
     def sample_grad_all(self, X, Z, rng):
         zeta = rng.normal(size=self._draw_size) * self._noise_scales[1]

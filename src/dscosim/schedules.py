@@ -8,21 +8,6 @@ from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class ConstantSqrtK:
-    """alpha_k = a / sqrt(K) for a run of fixed length K."""
-
-    a: float
-    K: int
-
-    def __post_init__(self):
-        if self.a <= 0 or self.K < 1:
-            raise ConfigurationError("need a > 0 and K >= 1")
-
-    def alpha(self, k):
-        return self.a / self.K**0.5
-
-
-@dataclass(frozen=True)
 class Polynomial:
     """alpha_k = a / (k + b)^exponent."""
 

@@ -22,7 +22,7 @@ from dscosim.problems import (
     monte_carlo_grad_h,
 )
 from dscosim.records import RunRecord, aggregate_mean_rows
-from dscosim.schedules import ConstantSqrtK, Polynomial, StepSchedule
+from dscosim.schedules import Polynomial, StepSchedule
 from dscosim.topology import build_weight_pair, generate_ring_plus_random
 
 
@@ -169,7 +169,7 @@ def test_nonconvex_rate_halves_with_quadrupled_horizon():
     start = time.perf_counter()
 
     def mean_grad_norm(K):
-        sched = StepSchedule(ConstantSqrtK(1.0, K), beta=1.0)
+        sched = StepSchedule(Polynomial(1.0 / K**0.5, 0.0, 0.0), beta=1.0)  # 1 / sqrt(K)
         records = run("ab-dscsc", prob, sched, K, weights=wp, seeds=range(20))
         return float(np.mean([np.mean([r.grad_norm_sq for r in rec.rows[:K]]) for rec in records]))
 

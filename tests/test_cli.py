@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import dscosim
 import dscosim.cli as cli
+import dscosim.config as config
 import dscosim.topology as topology
 from dscosim.cli import main
 from dscosim.config import ExperimentConfig, load_config, parse_config_text
@@ -348,6 +349,18 @@ def test_perron_iteration_not_converging_exit_2(runner, tmp_path, monkeypatch, c
     errors = [line for line in res.output.splitlines() if line.startswith("error:")]
     assert errors == ["error: Perron power iteration did not converge in 3 steps"]
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"]])
+def test_topology_without_spanning_tree_exit_1(runner, tmp_path, monkeypatch, command):
+    # the CLI's ring + random graphs are strongly connected; three agents with no edge are not
+    monkeypatch.setattr(config, "generate_ring_plus_random", lambda *args: topology.DirectedGraph(3))
+    cfg = write(tmp_path, BASE)
+    res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+    assert errors == ["error: generated topology violates the network assumption"]
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 LOGISTIC = """

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dscosim.config import ExperimentConfig
 from dscosim.errors import ConfigurationError, InsufficientDataError
 from dscosim.metrics import (
     bounded_ratio_check,
@@ -28,7 +29,7 @@ from dscosim.records import (
     record_to_csv,
     rows_from_csv,
 )
-from dscosim.schedules import ConstantSqrtK, Polynomial, StepSchedule
+from dscosim.schedules import Polynomial, StepSchedule
 
 
 def one_row(k, alpha_k, beta_k, x, z, problem, u):
@@ -292,8 +293,16 @@ class TestBoundedRatio:
 
 class TestSchedules:
     def test_constant_sqrtk(self):
-        s = ConstantSqrtK(2.0, 400)
+        s = Polynomial(2.0 / 400**0.5, 0.0, 0.0)
         assert s.alpha(1) == s.alpha(399) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("a, K, k", [(0.01, 1, 1), (0.05, 50, 7), (1.0, 2_000, 1_999), (0.3, 10**6, 12_345)])
+    def test_config_constant_sqrtk_is_a_over_sqrt_k_bit_for_bit(self, a, K, k):
+        values = {"alpha_schedule": "constant-sqrtk", "alpha_a": a, "iterations": K, "beta": 0.8}
+        schedule = ExperimentConfig(values).build_schedule()
+        alpha = a / K**0.5
+        assert schedule.alpha(k).hex() == alpha.hex()
+        assert schedule.beta_of(k).hex() == min(0.8 * alpha, 1.0).hex()  # "proportional", the default
 
     def test_polynomial_values(self):
         s = Polynomial(3.0, b=1.0, exponent=1.0)
@@ -319,8 +328,6 @@ class TestSchedules:
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             Polynomial(-1.0)
-        with pytest.raises(ConfigurationError):
-            ConstantSqrtK(1.0, 0)
         with pytest.raises(ConfigurationError):
             StepSchedule(Polynomial(1.0), beta=0.0)
 

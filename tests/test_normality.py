@@ -18,7 +18,7 @@ from dscosim.normality import (
     theoretical_covariance,
 )
 from dscosim.problems import make_logistic_cso, make_quadratic, make_sigmoid_quadratic
-from dscosim.schedules import ConstantSqrtK, Polynomial, StepSchedule
+from dscosim.schedules import Polynomial, StepSchedule
 from dscosim.topology import build_weight_pair, generate_ring_plus_random
 
 
@@ -70,7 +70,7 @@ class TestTheoreticalCovariance:
 class TestCollectDelta:
     def test_schedule_requirements(self):
         prob, wp = small_problem(), small_weights()
-        flat = StepSchedule(ConstantSqrtK(0.1, 100), beta=1.0)
+        flat = StepSchedule(Polynomial(0.1 / 100**0.5, 0.0, 0.0), beta=1.0)
         with pytest.raises(ConfigurationError):
             collect_delta(2, prob, wp, flat, 10, 1, 0)
         too_fast = StepSchedule(Polynomial(0.5, 0.0, 1.0), beta=1.0)
