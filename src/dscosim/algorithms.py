@@ -81,11 +81,11 @@ class ReplicaStreams:
     that ``normal(size=N)`` would return, except that ``normal(0, 1)`` computes
     ``0.0 + 1.0·x`` and so turns a −0.0 into +0.0; one ``+= 0.0`` over the joint
     array does the same.  So the bits are those of per-draw ``normal`` calls.  A
-    draw of another size puts the unread draws back in each stream's own order
-    and lays them out again with the fresh values.  ``integers`` draws straight
-    from the streams, so it is refused while laid-out normals are unread: those
-    values came off the streams first.  ``diverged`` holds the guard's error for
-    each replica it flagged, in the order flagged.
+    draw of another size is served only once the block is drained, and is refused
+    while laid-out draws are unread, as ``integers`` is: ``integers`` draws
+    straight from the streams, and the unread values came off them first.
+    ``diverged`` holds the guard's error for each replica it flagged, in the
+    order flagged.
     """
 
     BUFFER_BYTES = 256 * 1024
@@ -110,22 +110,20 @@ class ReplicaStreams:
 
     def normal(self, size):
         t = self._t
-        if t == self._end or size != self._size:
+        if t == self._end:
             return self._refill(size)
+        if size != self._size:
+            raise RuntimeError("a draw of another size while buffered normals are unread")
         self._t = t + 1
         return self._draws[t]
 
     def _refill(self, size):
-        """Lay out the unread draws, in stream order, and fresh ones as draws of ``size``."""
+        """Lay out fresh draws of ``size``: a block's worth, and at least one."""
         R, count = len(self.seeds), math.prod(size)
-        unread = self._draws[self._t :]  # (m, size[0], R, ...)
-        left = unread.size // R
-        # a block's worth of draws, and at least one, and enough to take every unread value
-        per = max(1, self.block // count, -(-left // count))
+        per = max(1, self.block // count)
         values = np.empty((R, per * count))  # each stream's values in its own order
-        values[:, :left] = np.moveaxis(unread, 2, 0).reshape(R, left)
         for row, g in zip(values, self.streams):
-            g.standard_normal(out=row[left:])
+            g.standard_normal(out=row)
         values += 0.0  # -0.0 -> +0.0, as normal(0, 1) does; every other value is kept
         draws = np.moveaxis(values.reshape(R, per, *size), 0, 2)
         self._draws = np.ascontiguousarray(draws)  # at R=1 already contiguous: a view
@@ -169,11 +167,10 @@ def _check_finite(arr, k, what, rng):
     rounded square of at least DIVERGENCE_LIMIT**2, and a rounded sum of
     non-negative terms is never below one of its terms, so a sum below that bound
     bounds every entry (and is False for NaN and inf).  Only an array that fails it
-    takes the max-abs test, so the guard accepts exactly the arrays that test does.
+    takes the per-entry test, which flags nothing in an array whose entries are all
+    within the limit, so the guard accepts exactly the arrays that test alone would.
     """
     if np.vdot(arr, arr) < DIVERGENCE_LIMIT**2:
-        return
-    if np.maximum.reduce(np.abs(arr), axis=None) <= DIVERGENCE_LIMIT:  # False for NaN
         return
     bad = (~np.isfinite(arr) | (np.abs(arr) > DIVERGENCE_LIMIT)).any(axis=2)  # (n, R)
     flagged = {err.seed for err in rng.diverged}

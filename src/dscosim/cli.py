@@ -61,8 +61,12 @@ def _exit_codes(command):
 def _build_instance(cfg):
     """The problem, weights and schedule that every seed of `cfg` shares, built
     once; the optimum, where the family has one, is solved here and cached."""
+    algorithm, n = cfg["algorithm"], cfg["agents"]
+    single_agent = algorithm in ("scgd", "scsc")
+    if single_agent and n != 1:  # run() refuses it, but only once all is built
+        raise ConfigurationError(f"{algorithm} is single-agent; problem has n={n}")
     problem = cfg.build_problem()
-    weights = None if cfg["algorithm"] in ("scgd", "scsc") else cfg.build_weights()
+    weights = None if single_agent else cfg.build_weights()
     schedule = cfg.build_schedule()
     if problem.has_optimum:
         problem.optimum()
@@ -222,6 +226,8 @@ def cmd_normality(config_path, out_dir):
     R = cfg["replications"]
     if R < 50:
         raise InsufficientDataError(f"replications must be >= 50, got {R}")
+    if not 1 <= cfg["agent"] <= cfg["agents"]:  # collect_delta's check, before the build
+        raise ConfigurationError(f"agent must be in [1, {cfg['agents']}], got {cfg['agent']}")
     problem, weights, schedule = _build_instance(cfg)
     base_seed = seeds[0]
     samples = collect_delta(

@@ -73,22 +73,6 @@ def fit_rate_slope(record, column, k_range):
     return float(slope), float(intercept), r2
 
 
-def geometric_sum_check(rho, alphas):
-    """max over k of (sum_{t<=k} rho^{k-t} alpha_t) / alpha_k.
-
-    A finite, K-stable value certifies the geometric-weighted-sum bound
-    numerically.  `alphas` is the sequence alpha_1..alpha_K.
-    """
-    if not 0 <= rho < 1:
-        raise ValueError(f"rho must be in [0, 1), got {rho}")
-    worst = 0.0
-    acc = 0.0
-    for a in alphas:
-        acc = rho * acc + a
-        worst = max(worst, acc / a)
-    return worst
-
-
 def bounded_ratio_check(record, column, scale, k_final, k_median_range):
     """True iff column/scale at k_final is <= 10 x its median over the range.
 

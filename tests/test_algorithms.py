@@ -219,8 +219,11 @@ class TestAbStep:
             assert not rng.diverged
 
     def test_guard_passes_entries_whose_squares_sum_beyond_the_limit(self):
-        # every entry is within 1e6, but the squares sum to 2.0e15 > 1e12: the max-abs test decides
-        _check_finite(np.full((500, 1, 5), 9e5), 5, "iterate", ReplicaStreams([11]))
+        # every entry is within 1e6, but the squares sum to 2.0e15 > 1e12: the per-entry
+        # test decides, and flags nothing
+        rng, arr = ReplicaStreams([11]), np.full((500, 1, 5), 9e5)
+        _check_finite(arr, 5, "iterate", rng)
+        assert not rng.diverged and (arr == 9e5).all()
 
     # 1e200 squares to inf, so the sum of squares overflows
     @pytest.mark.parametrize(

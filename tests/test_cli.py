@@ -436,6 +436,18 @@ class TestSeedsShareOneInstance:
         }
         assert pool_sizes == ([2] if command[0] == "sweep" else [])
 
+    @pytest.mark.parametrize("algorithm", ["scsc", "scgd"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"]])
+    def test_single_agent_method_on_a_network_exits_before_the_build(
+        self, runner, tmp_path, counts, command, algorithm
+    ):
+        cfg = write(tmp_path, LOGISTIC + f"algorithm = {algorithm}\n")
+        res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {algorithm} is single-agent; problem has n=5"]
+        assert counts == {}  # neither the problem nor its optimum was built
+
     @pytest.mark.parametrize("text", [BASE, LOGISTIC])
     def test_csvs_equal_a_fresh_build_per_seed(self, runner, tmp_path, text):
         cfg = write(tmp_path, text)
@@ -650,6 +662,19 @@ threshold = 0.9
         assert res.exit_code == 2, res.output
         assert "ab-dscsc only" in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("agent", [0, 3])
+    def test_agent_outside_the_network_exits_before_the_build(self, runner, tmp_path, monkeypatch, agent):
+        built = []
+        for name in ("build_problem", "build_weights"):
+            monkeypatch.setattr(ExperimentConfig, name, lambda self, name=name: built.append(name))
+        cfg = write(tmp_path, self.CFG.replace("agent = 1", f"agent = {agent}"))
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: agent must be in [1, 2], got {agent}"]
+        assert built == [] and not out.exists()
 
     def test_zero_k_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("normality_k = 1500", "normality_k = 0"))

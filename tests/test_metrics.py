@@ -12,7 +12,6 @@ from dscosim.metrics import (
     bounded_ratio_check,
     collect_row,
     fit_rate_slope,
-    geometric_sum_check,
 )
 from dscosim.problems import (
     LogisticProblem,
@@ -238,34 +237,6 @@ class TestRateSlope:
         rec = synthetic_record(lambda k: 1.0 / k - 0.05, range(1, 100))
         with pytest.raises(InsufficientDataError):
             fit_rate_slope(rec, "consensus_err", (1, 99))
-
-
-class TestGeometricSum:
-    def test_constant_sequence_closed_form(self):
-        # sum rho^{k-t} a / a -> 1/(1-rho)
-        worst = geometric_sum_check(0.5, [1.0] * 400)
-        assert worst == pytest.approx(2.0, rel=1e-12)
-
-    def test_rho_zero_identity(self):
-        assert geometric_sum_check(0.0, [0.3, 0.7, 0.1]) == 1.0
-
-    def test_decaying_sequence_stays_bounded(self):
-        alphas = [1.0 / (k + 1) ** 0.75 for k in range(1, 5000)]
-        worst = geometric_sum_check(0.9, alphas)
-        # bound from splitting the sum: <= 2/(1-rho) eventually
-        assert worst < 2.0 / 0.1 + 1.0
-
-    @given(rho=st.floats(0.0, 0.95), scale=st.floats(0.01, 10.0))
-    @settings(max_examples=50, deadline=None)
-    def test_scale_invariance(self, rho, scale):
-        alphas = [1.0 / (k + 2) for k in range(50)]
-        a = geometric_sum_check(rho, alphas)
-        b = geometric_sum_check(rho, [scale * v for v in alphas])
-        assert a == pytest.approx(b, rel=1e-9)
-
-    def test_bad_rho(self):
-        with pytest.raises(ValueError):
-            geometric_sum_check(1.0, [1.0])
 
 
 class TestBoundedRatio:

@@ -194,13 +194,14 @@ class TestReplicaBatching:
             assert s.top.tobytes() == (-prob.optimum()).tobytes()  # x_1 = 0, scale 1
 
     def test_stacked_draws_are_each_seeds_own(self):
-        streams = ReplicaStreams([5, 9, 2])
-        serial = [run_stream(s) for s in (5, 9, 2)]
-        for size in [(3, 2), (4, 1), (2, 3)]:
-            draw = streams.normal(size=size)
-            assert draw.shape == (size[0], 3, size[1])
-            for r, g in enumerate(serial):
-                assert draw[:, r].tobytes() == g.normal(size=size).tobytes()
+        for size in [(3, 2), (4, 1), (2, 3)]:  # one size per stream set, as a run draws
+            streams = ReplicaStreams([5, 9, 2])
+            serial = [run_stream(s) for s in (5, 9, 2)]
+            for _ in range(3):
+                draw = streams.normal(size=size)
+                assert draw.shape == (size[0], 3, size[1])
+                for r, g in enumerate(serial):
+                    assert draw[:, r].tobytes() == g.normal(size=size).tobytes()
 
     @staticmethod
     def assert_serial_sequence(seeds, sizes):
@@ -213,17 +214,11 @@ class TestReplicaBatching:
                 assert draw[:, r].tobytes() == g.normal(size=size).tobytes()
         return streams
 
-    def test_block_draws_across_refills_equal_serial_draws(self):
-        # 3 replicas hold blocks of 10922 values; these 39,000 values cross three refills,
-        # and the draws straddle the block ends
-        sizes = [(3, 2), (10, 5), (1,), (7, 13), (2, 1, 3)] * 250
-        streams = self.assert_serial_sequence([5, 9, 2], sizes)
-        assert sum(int(np.prod(s)) for s in sizes) > 3 * streams.block
-
     def test_block_smaller_than_one_draw_equals_serial_draws(self):
-        # with 4000 replicas a block holds 8 values per replica, less than a (3, 5) draw
+        # with 4000 replicas a block holds 8 values per replica, less than a (3, 5) draw,
+        # so each draw is a refill of its own
         seeds = range(10**6, 10**6 + 4000)
-        streams = self.assert_serial_sequence(seeds, [(3, 5), (1, 1), (2, 2), (3, 5), (4,)])
+        streams = self.assert_serial_sequence(seeds, [(3, 5)] * 3)
         assert streams.block < 15
 
     @pytest.mark.parametrize("R,size", [(1, (10, 5)), (2, (10, 10)), (50, (3, 2))])
@@ -235,10 +230,19 @@ class TestReplicaBatching:
         assert draws * count > 3 * streams.block
 
     def test_size_change_with_unread_draws_continues_each_stream(self):
-        # the (50, 40) draw comes while laid-out (3, 2) draws are unread and needs more
-        # values than they hold; the (1,) draws then read what it left behind
-        sizes = [(3, 2), (3, 2), (50, 40), (1,), (1,), (3, 2), (2, 1, 3), (50, 40)]
-        self.assert_serial_sequence([5, 9, 2], sizes)
+        # a second size is refused while laid-out draws are unread, and takes nothing
+        streams = ReplicaStreams([5, 9, 2])
+        serial = [run_stream(s) for s in (5, 9, 2)]
+        for _ in range(2):
+            draw = streams.normal(size=(3, 2))
+            with pytest.raises(RuntimeError, match="another size"):
+                streams.normal(size=(1,))
+            for r, g in enumerate(serial):
+                assert draw[:, r].tobytes() == g.normal(size=(3, 2)).tobytes()
+        # with 4000 replicas one (3, 5) draw drains the block, and two (4,) draws do: a
+        # second size then continues each stream as a serial run would
+        seeds = range(10**6, 10**6 + 4000)
+        self.assert_serial_sequence(seeds, [(3, 5), (2, 1, 3), (4,), (4,), (3, 5)])
 
     def test_negative_zero_from_the_generator_reads_positive(self):
         # normal(0, 1) is 0.0 + 1.0·x, which turns a -0.0 into +0.0; no real seed
@@ -267,9 +271,6 @@ class TestReplicaBatching:
     def test_integers_refused_after_one_draw(self, R):
         streams = ReplicaStreams(range(R))
         streams.normal(size=(3, 2))
-        with pytest.raises(RuntimeError, match="buffered normals"):
-            streams.integers(0, 7, size=(4,))
-        streams.normal(size=(4, 1))  # a size change lays the unread values out again
         with pytest.raises(RuntimeError, match="buffered normals"):
             streams.integers(0, 7, size=(4,))
 

@@ -212,8 +212,12 @@ class TestSamePointInnerPair:
         b_new, b_old = prob.sample_inner_pair_all(X, X.copy(), streams[1])
         for a, b in ((a_new, b_new), (a_old, b_old)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        nxt = [s.normal(size=(prob.n, 3)) for s in streams]
-        assert nxt[0].tobytes() == nxt[1].tobytes()
+        # both stream sets stand at one position: each stream's state, the read position
+        # and the laid-out draws
+        for a, b in zip(streams[0].streams, streams[1].streams):
+            np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+        assert (streams[0]._t, streams[0]._end) == (streams[1]._t, streams[1]._end)
+        assert streams[0]._draws.tobytes() == streams[1]._draws.tobytes()
 
     @pytest.mark.parametrize("case", sorted(SAME_POINT_CASES))
     def test_bytes_and_draws_equal(self, case):
