@@ -14,8 +14,7 @@ from .algorithms import (
     ab_dscsc_step,
     dscgd_step,
     run,
-    scgd_step,
-    scsc_step,
+    single_agent_step,
 )
 from .schedules import Polynomial, StepSchedule
 from .topology import (
@@ -40,8 +39,7 @@ __all__ = [
     "Polynomial",
     "ab_dscsc_init",
     "ab_dscsc_step",
-    "scgd_step",
-    "scsc_step",
+    "single_agent_step",
     "dscgd_step",
     "run",
 ]

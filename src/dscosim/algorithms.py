@@ -13,7 +13,7 @@ Implemented methods:
 All randomness flows from one counter-based Philox stream per seed, consumed
 in a fixed order (inner-correction draw, then gradient draw, agents batched),
 so a run is bitwise reproducible from (config, seed), and the single-agent
-AB recursion consumes draws in exactly the same order as ``scsc_step``.
+AB recursion consumes draws in exactly the same order as ``single_agent_step``.
 
 ``run`` advances all of its seeds at once: the state arrays are agent-first
 ``(n, R, d)``, one replica per seed, and the stream is a ``ReplicaStreams``,
@@ -329,8 +329,9 @@ def ab_dscsc_step(state, problem, weights, alpha_k, beta_k, rng, plans=(None, No
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=y_new, h_prev=h_new)
 
 
-def _single_agent_step(state, problem, alpha_k, beta_k, rng, corrected):
-    """One single-agent round.  ``corrected`` (SCSC) maps the old point with the new under
+def single_agent_step(state, problem, alpha_k, beta_k, rng, corrected):
+    """One single-agent round, apart from ``ab_dscsc_step`` so that the n=1 reduction test
+    compares two implementations.  ``corrected`` (SCSC) maps the old point with the new under
     one draw, for z's correction; without it (SCGD) the pair maps the new point alone."""
     x_new = state.x - alpha_k * state.y
     _check_finite(x_new, state.k + 1, "iterate", rng)
@@ -339,20 +340,6 @@ def _single_agent_step(state, problem, alpha_k, beta_k, rng, corrected):
     h_new = problem.sample_grad_all(x_new, z_new, rng)
     _check_finite(h_new, state.k + 1, "gradient tracker", rng)  # y, as ab_dscsc_step's at n=1
     return NetworkState(k=state.k + 1, x=x_new, z=z_new, y=h_new, h_prev=h_new)
-
-
-def scsc_step(state, problem, alpha_k, beta_k, rng):
-    """Single-agent stochastically corrected step: descend along y, correct z, redraw y.
-
-    Written apart from ``ab_dscsc_step`` so that the n=1 reduction test compares
-    two implementations.
-    """
-    return _single_agent_step(state, problem, alpha_k, beta_k, rng, corrected=True)
-
-
-def scgd_step(state, problem, alpha_k, beta_k, rng):
-    """Single-agent two-timescale baseline: descend along y, average z plainly, redraw y."""
-    return _single_agent_step(state, problem, alpha_k, beta_k, rng, corrected=False)
 
 
 def dscgd_step(state, problem, W, eta, gamma, beta_k, rng, track, plan=None):
@@ -409,7 +396,7 @@ def rounds(algorithm, problem, schedule, K, weights, rng, eta=0.03, gamma=3.0):
         elif dscgd:
             state = dscgd_step(state, problem, W, eta, gamma, schedule.beta_of(k), rng, track, *plans)
         else:
-            state = _single_agent_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng, corrected)
+            state = single_agent_step(state, problem, schedule.alpha(k), schedule.beta_of(k), rng, corrected)
         if rng.diverged and rng.diverged[-1].seed in rng.seeds:  # flagged in this round
             gone = {err.seed for err in rng.diverged}
             rows = [r for r, s in enumerate(rng.seeds) if s not in gone]

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 network-assumption violation, 2 config/usage error
-(a config whose arrays do not fit in memory or on which a numerical routine
-does not converge included), 3 divergence.
+(a config whose arrays do not fit in memory or exceed numpy's size limit, or
+on which a numerical routine does not converge, included), 3 divergence.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ def _fail(code, message):
     sys.exit(code)
 
 
+# numpy's ValueErrors for an array beyond its size limit, raised before any allocation
+_SIZE_LIMITS = ("Maximum allowed dimension exceeded", "array is too big;")
+
+
 def _exit_codes(command):
     """Map simulator errors to exit codes."""
 
@@ -52,7 +56,9 @@ def _exit_codes(command):
             _fail(1, err)
         except DivergenceError as err:
             _fail(3, err)
-        except MemoryError as err:  # numpy's _ArrayMemoryError names the array it could not allocate
+        except (MemoryError, ValueError) as err:  # numpy's _ArrayMemoryError names its array
+            if isinstance(err, ValueError) and not str(err).startswith(_SIZE_LIMITS):
+                raise  # any other ValueError is a bug, not a config
             _fail(2, f"the config's arrays do not fit in memory ({err})")
 
     return wrapper
@@ -67,10 +73,9 @@ def _build_instance(cfg):
         raise ConfigurationError(f"{algorithm} is single-agent; problem has n={n}")
     problem = cfg.build_problem()
     weights = None if single_agent else cfg.build_weights()
-    schedule = cfg.build_schedule()
     if problem.has_optimum:
         problem.optimum()
-    return problem, weights, schedule
+    return problem, weights, cfg.schedule
 
 
 def _run_batch(shared, seeds):
@@ -117,6 +122,7 @@ def _run_seeds(cfg, seeds, out_dir, jobs=1):
     receives the shared instance once, with its batch.
     """
     shared = (cfg, out_dir, *_build_instance(cfg))
+    Path(out_dir).mkdir(parents=True, exist_ok=True)  # only once the build has succeeded
     workers = min(jobs, len(seeds))
     if workers == 1:
         results = _run_batch(shared, seeds)
@@ -153,7 +159,6 @@ def cmd_run(config_path, seed, out_dir):
     """Execute one run per seed and write per-seed plus aggregate CSVs."""
     cfg = load_config(config_path)
     seeds = [seed] if seed is not None else cfg.seed_list()
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     results = _run_seeds(cfg, seeds, out_dir)
     for s, (record, path) in zip(seeds, results):
         click.echo(f"seed {s}: {record.status}, {len(record.rows)} rows -> {path}")
@@ -170,7 +175,6 @@ def cmd_sweep(config_path, jobs, out_dir):
     """Multi-seed sweep with optional parallel workers."""
     cfg = load_config(config_path)
     seeds = cfg.seed_list()
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     records = [record for record, _ in _run_seeds(cfg, seeds, out_dir, jobs)]
     agg_path = _write_aggregate(cfg, records, out_dir)
     click.echo(f"{len(records)} runs complete, aggregate -> {agg_path}")

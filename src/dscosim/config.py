@@ -106,19 +106,16 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown problem family {v['problem']!r}")
         if v["algorithm"] not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {v['algorithm']!r}")
-        if v["alpha_schedule"] not in ("polynomial", "constant-sqrtk"):
-            raise ConfigurationError(f"unknown alpha schedule {v['alpha_schedule']!r}")
-        if v["beta_rule"] not in ("proportional", "constant", "polynomial"):
-            raise ConfigurationError(f"unknown beta rule {v['beta_rule']!r}")
         for key, low in _MINIMUMS.items():
             if v[key] < low:
                 raise ConfigurationError(f"{key} must be >= {low}, got {v[key]}")
-        for key in ("beta", "eta", "gamma", "threshold"):
+        for key in ("eta", "gamma", "threshold"):
             if v[key] <= 0:
                 raise ConfigurationError(f"{key} must be > 0, got {v[key]}")
-        if v["beta_rule"] == "constant" and v["beta"] > 1:
+        if v["beta_rule"] == "constant" and v["beta"] > 1:  # the schedule would clamp it
             raise ConfigurationError("constant beta must be <= 1")
         self.seed_list()  # parses and validates
+        self.schedule = self.build_schedule()  # checks every step-size key
 
     def seed_list(self):
         spec = str(self.values["seeds"]).strip()
@@ -179,8 +176,10 @@ class ExperimentConfig:
         v = self.values
         if v["alpha_schedule"] == "constant-sqrtk":  # a / sqrt(K): (k + 0.0)**0.0 is exactly 1.0
             rule = Polynomial(v["alpha_a"] / v["iterations"] ** 0.5, 0.0, 0.0)
-        else:
+        elif v["alpha_schedule"] == "polynomial":
             rule = Polynomial(v["alpha_a"], v["alpha_b"], v["alpha_exponent"])
+        else:
+            raise ConfigurationError(f"unknown alpha schedule {v['alpha_schedule']!r}")
         return StepSchedule(
             alpha_rule=rule,
             beta=v["beta"],

@@ -17,7 +17,7 @@ class Polynomial:
 
     def __post_init__(self):
         if self.a <= 0 or self.b < 0 or self.exponent < 0:
-            raise ConfigurationError("need a > 0, b >= 0, exponent >= 0")
+            raise ConfigurationError(f"need a > 0, b >= 0, exponent >= 0, got {self!r}")
 
     def alpha(self, k):
         return self.a / (k + self.b) ** self.exponent
@@ -43,7 +43,7 @@ class StepSchedule:
         if self.beta_rule not in ("proportional", "constant", "polynomial"):
             raise ConfigurationError(f"unknown beta rule {self.beta_rule!r}")
         if self.beta_exponent < 0:
-            raise ConfigurationError("beta_exponent must be >= 0")
+            raise ConfigurationError(f"beta_exponent must be >= 0, got {self.beta_exponent}")
 
     def alpha(self, k):
         return self.alpha_rule.alpha(k)

@@ -17,8 +17,7 @@ from dscosim.algorithms import (
     rounds,
     run,
     run_stream,
-    scgd_step,
-    scsc_step,
+    single_agent_step,
 )
 from dscosim.errors import ConfigurationError, DivergenceError
 from dscosim.metrics import collect_row
@@ -55,8 +54,8 @@ def step_functions(problem, wp, W, schedule, rng, eta=0.03, gamma=3.0, plans=(No
         "ab-dscsc": lambda st, k: ab_dscsc_step(st, problem, wp, schedule.alpha(k), schedule.beta_of(k), rng, plans),
         "gp-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, False, plans[0]),
         "gt-dscgd": lambda st, k: dscgd_step(st, problem, W, eta, gamma, schedule.beta_of(k), rng, True, plans[0]),
-        "scsc": lambda st, k: scsc_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
-        "scgd": lambda st, k: scgd_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng),
+        "scsc": lambda st, k: single_agent_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng, True),
+        "scgd": lambda st, k: single_agent_step(st, problem, schedule.alpha(k), schedule.beta_of(k), rng, False),
     }
 
 
@@ -405,7 +404,7 @@ class TestSingleAgentSteps:
     def test_scgd_step_zero_noise(self):
         prob = make_quadratic(1, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
         x, z, y = np.array([0.5, -1.0]), np.zeros(2), np.array([0.3, -0.2])
-        nxt = scgd_step(self.state(x, z, y), prob, 0.1, 0.4, ReplicaStreams([0]))
+        nxt = single_agent_step(self.state(x, z, y), prob, 0.1, 0.4, ReplicaStreams([0]), False)
         np.testing.assert_allclose(nxt.x[0, 0], x - 0.1 * y)
         g = prob.true_g(nxt.x)[0, 0]
         np.testing.assert_allclose(nxt.z[0, 0], 0.6 * z + 0.4 * g)
@@ -413,12 +412,12 @@ class TestSingleAgentSteps:
         np.testing.assert_allclose(nxt.y[0, 0], grad)
         assert nxt.k == 2
 
-    @pytest.mark.parametrize("step", [scsc_step, scgd_step])
-    def test_a_runaway_gradient_is_flagged_as_the_tracker(self, step):
+    @pytest.mark.parametrize("corrected", [True, False], ids=["scsc_step", "scgd_step"])
+    def test_a_runaway_gradient_is_flagged_as_the_tracker(self, corrected):
         # a finite iterate whose new gradient, the one agent's tracker, is beyond the limit
         prob = make_quadratic(1, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
         rng = ReplicaStreams([0])
-        nxt = step(self.state(np.zeros(2), np.full(2, 1e8), np.zeros(2)), prob, 0.1, 0.4, rng)
+        nxt = single_agent_step(self.state(np.zeros(2), np.full(2, 1e8), np.zeros(2)), prob, 0.1, 0.4, rng, corrected)
         assert [str(e) for e in rng.diverged] == [
             "gradient tracker non-finite or beyond 1e+06 at k=2, agent 1, seed 0"
         ]
@@ -428,7 +427,7 @@ class TestSingleAgentSteps:
         prob = make_quadratic(1, 2, seed=3, noise_inner=0.0, noise_outer=0.0)
         x_prev, y = np.array([0.2, 0.3]), np.array([-3.0, 13.0])
         z = np.array([1.0, 1.0])
-        nxt = scsc_step(self.state(x_prev, z, y), prob, 0.1, 0.4, ReplicaStreams([0]))
+        nxt = single_agent_step(self.state(x_prev, z, y), prob, 0.1, 0.4, ReplicaStreams([0]), True)
         x = nxt.x[0, 0]
         np.testing.assert_allclose(x, x_prev - 0.1 * y)
         g_x, g_prev = prob.true_g(nxt.x)[0, 0], prob.true_g(x_prev[None])[0]

@@ -108,6 +108,11 @@ class TestConfigParsing:
             {"eta": -0.5},
             {"gamma": 0.0},
             {"gamma": -2.0},
+            {"alpha_a": 0},
+            {"alpha_b": -1},
+            {"alpha_exponent": -1},
+            {"beta_exponent": -1},
+            {"alpha_schedule": "cosine"},
         ]:
             with pytest.raises(ConfigurationError):
                 ExperimentConfig(bad)
@@ -338,6 +343,44 @@ def test_config_too_large_for_memory_exit_2(runner, tmp_path, monkeypatch, comma
     assert "do not fit in memory" in res.output and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "text, limit",
+    [
+        ("dim = 100000000000000000000\n", "Maximum allowed dimension exceeded"),
+        ("agents = 4294967296\ndim = 4294967296\n", "array is too big;"),
+        ("problem = maml\nhidden_width = 4294967296\n", "Maximum allowed dimension exceeded"),
+    ],
+    ids=["dim", "agents-and-dim", "maml-hidden-width"],
+)
+def test_arrays_beyond_numpys_size_limit_exit_2(runner, tmp_path, text, limit):
+    # numpy refuses these shapes before it allocates anything
+    cfg = write(tmp_path, text)
+    res = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: the config's arrays do not fit in memory ({limit}")
+    assert "Traceback" not in res.output
+
+
+def test_other_value_errors_are_not_relabelled(runner, tmp_path, monkeypatch):
+    def build_problem(self):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(ExperimentConfig, "build_problem", build_problem)
+    res = runner.invoke(main, ["run", "--config", write(tmp_path, BASE), "--out", str(tmp_path / "o")])
+    assert isinstance(res.exception, ValueError) and res.exit_code == 1
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"]])
+def test_failed_build_leaves_no_output_directory(runner, tmp_path, command):
+    cfg = write(tmp_path, BASE.replace("topology_extra = 1", "topology_extra = 100"))
+    out = tmp_path / "o"
+    res = runner.invoke(main, [*command, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "extra=100 exceeds the 3 available non-ring edges" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["run", "--out", "o"], ["validate-topology"]])
 def test_perron_iteration_not_converging_exit_2(runner, tmp_path, monkeypatch, command):
     # a real ring of 500 agents takes the full 100,000 power iterations to fail
@@ -446,7 +489,23 @@ class TestSeedsShareOneInstance:
         assert res.exit_code == 2, res.output
         errors = [line for line in res.output.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {algorithm} is single-agent; problem has n=5"]
-        assert counts == {}  # neither the problem nor its optimum was built
+        assert counts == {"build_schedule": 1}  # at load; neither the problem nor its optimum was built
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"], ["validate-topology"]])
+    def test_bad_step_size_exits_at_load(self, runner, tmp_path, monkeypatch, counts, command):
+        # 500 agents: the Perron iteration alone takes seconds, and the rule is refused before it
+        graphs = []
+        monkeypatch.setattr(ExperimentConfig, "build_graph", lambda self: graphs.append(self))
+        cfg = write(tmp_path, "agents = 500\ntopology_extra = 1\nalpha_a = 0\n")
+        out = [] if command[0] == "validate-topology" else ["--out", str(tmp_path / "o")]
+        res = runner.invoke(main, [*command, "--config", cfg, *out])
+        assert res.exit_code == 2, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error: need a > 0, b >= 0, exponent >= 0, got Polynomial(a=0.0, b=0.0, exponent=0.55)"
+        ]
+        assert counts == {"build_schedule": 1} and graphs == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", [BASE, LOGISTIC])
     def test_csvs_equal_a_fresh_build_per_seed(self, runner, tmp_path, text):
