@@ -24,7 +24,8 @@ from .errors import (
     InsufficientDataError,
     NumericalError,
 )
-from .normality import collect_delta, compare_covariance, samples_to_csv, theoretical_covariance
+from .normality import _check_schedule, collect_delta, compare_covariance
+from .normality import samples_to_csv, theoretical_covariance
 from .records import aggregate_mean_rows, record_to_csv, RunRecord
 from .topology import build_weight_pair, check_assumption2
 
@@ -64,6 +65,11 @@ def _exit_codes(command):
     return wrapper
 
 
+# record headers still echo the normality study's two retired keys at their last
+# defaults, so every record CSV keeps its bytes
+_RETIRED_ECHO = {"normality_k": 20000, "replications": 200}
+
+
 def _build_instance(cfg):
     """The problem, weights and schedule that every seed of `cfg` shares, built
     once; the optimum, where the family has one, is solved here and cached."""
@@ -96,8 +102,9 @@ def _run_batch(shared, seeds):
         metric_stride=cfg["metric_stride"],
         eta=cfg["eta"],
         gamma=cfg["gamma"],
-        config=cfg.values,
+        config={**cfg.values, **_RETIRED_ECHO},
     )
+    Path(out_dir).mkdir(parents=True, exist_ok=True)  # so a run() that raises leaves none
     out = []
     for seed, result in zip(seeds, results):
         if isinstance(result, DivergenceError):
@@ -122,7 +129,6 @@ def _run_seeds(cfg, seeds, out_dir, jobs=1):
     receives the shared instance once, with its batch.
     """
     shared = (cfg, out_dir, *_build_instance(cfg))
-    Path(out_dir).mkdir(parents=True, exist_ok=True)  # only once the build has succeeded
     workers = min(jobs, len(seeds))
     if workers == 1:
         results = _run_batch(shared, seeds)
@@ -142,7 +148,7 @@ def _run_seeds(cfg, seeds, out_dir, jobs=1):
 
 
 def _write_aggregate(cfg, records, out_dir):
-    agg = RunRecord(config=dict(cfg.values), seed=-1, rows=aggregate_mean_rows(records))
+    agg = RunRecord(config={**cfg.values, **_RETIRED_ECHO}, seed=-1, rows=aggregate_mean_rows(records))
     agg.status = "aggregate"
     path = Path(out_dir) / "aggregate.csv"
     path.write_text(record_to_csv(agg))
@@ -223,20 +229,18 @@ def cmd_normality(config_path, out_dir):
             f"normality study runs ab-dscsc only, got algorithm {cfg['algorithm']!r}"
         )
     seeds = cfg.seed_list()
-    if len(seeds) > 1:
+    base, R = seeds[0], len(seeds)
+    if seeds != list(range(base, base + R)):
         raise ConfigurationError(
-            f"normality takes one base seed and runs base ... base + R - 1, got seeds {seeds}"
+            f"normality runs the seeds base ... base + R - 1 (seeds = base:R), got {cfg['seeds']!r}"
         )
-    R = cfg["replications"]
     if R < 50:
-        raise InsufficientDataError(f"replications must be >= 50, got {R}")
+        raise InsufficientDataError(f"normality needs >= 50 seeds, got {R}")
     if not 1 <= cfg["agent"] <= cfg["agents"]:  # collect_delta's check, before the build
         raise ConfigurationError(f"agent must be in [1, {cfg['agents']}], got {cfg['agent']}")
+    _check_schedule(cfg.schedule)  # collect_delta's check, before the build
     problem, weights, schedule = _build_instance(cfg)
-    base_seed = seeds[0]
-    samples = collect_delta(
-        R, problem, weights, schedule, cfg["normality_k"], cfg["agent"], base_seed
-    )
+    samples = collect_delta(R, problem, weights, schedule, cfg["iterations"], cfg["agent"], base)
     report = compare_covariance(samples, theoretical_covariance(problem))
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     (Path(out_dir) / "normality_samples.csv").write_text(samples_to_csv(samples))

@@ -53,8 +53,6 @@ _DEFAULTS = {
     "iterations": 1000,
     "metric_stride": 1,
     "seeds": "0:1",
-    "replications": 200,
-    "normality_k": 20000,
     "agent": 1,
     "threshold": 0.3,
 }
@@ -65,7 +63,6 @@ _MINIMUMS = {
     "dim": 1,
     "iterations": 1,
     "metric_stride": 1,
-    "normality_k": 1,
     "tasks_per_agent": 1,
     "inner_dim": 0,
     "fixed_inner_pool": 0,
@@ -115,7 +112,15 @@ class ExperimentConfig:
         if v["beta_rule"] == "constant" and v["beta"] > 1:  # the schedule would clamp it
             raise ConfigurationError("constant beta must be <= 1")
         self.seed_list()  # parses and validates
-        self.schedule = self.build_schedule()  # checks every step-size key
+        K = v["iterations"]
+        try:  # (k + b)^e and k^e grow with k, so round K overflows first
+            self.schedule = self.build_schedule()  # checks every step-size key
+            self.schedule.alpha(K), self.schedule.beta_of(K)
+        except OverflowError as exc:
+            raise ConfigurationError(f"a step size overflows a float by round k = {K}") from exc
+        beta_1 = self.schedule.beta_of(1)  # the largest beta_k: no rule grows with k
+        if v["algorithm"] in ("gp-dscgd", "gt-dscgd") and v["gamma"] * beta_1 > 1.0:
+            raise ConfigurationError(f"gamma*beta_k = {v['gamma'] * beta_1} exceeds 1")
 
     def seed_list(self):
         spec = str(self.values["seeds"]).strip()

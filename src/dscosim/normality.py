@@ -116,13 +116,7 @@ def theoretical_covariance(problem):
     top_left = Hinv @ (nd.S1 + nd.S2) @ Hinv.T
     off = -(1.0 / n) * Hinv @ nd.S2
     bottom_right = nd.S2 / n**2
-    d = nd.H.shape[0]
-    out = np.empty((2 * d, 2 * d))
-    out[:d, :d] = top_left
-    out[:d, d:] = off
-    out[d:, :d] = off.T
-    out[d:, d:] = bottom_right
-    return out
+    return np.block([[top_left, off], [off.T, bottom_right]])
 
 
 def compare_covariance(samples, theoretical):
@@ -154,13 +148,8 @@ def samples_to_csv(samples):
     if not samples:
         return "seed,agent,k\n"
     d = samples[0].top.shape[0]
-    header = (
-        "seed,agent,k,"
-        + ",".join(f"top_{j}" for j in range(d))
-        + ","
-        + ",".join(f"bottom_{j}" for j in range(d))
-    )
-    lines = [header]
+    columns = [f"{part}_{j}" for part in ("top", "bottom") for j in range(d)]
+    lines = [",".join(["seed", "agent", "k", *columns])]
     for s in samples:
         vals = ",".join(f"{v:.17g}" for v in np.concatenate([s.top, s.bottom]))
         lines.append(f"{s.seed},{s.agent_index},{s.k},{vals}")

@@ -288,7 +288,7 @@ def test_some_seeds_diverge_each_writes_its_one_seed_csv(runner, tmp_path, comma
             record, name = cli.run(
                 conf["algorithm"], conf.build_problem(), conf.build_schedule(), conf["iterations"],
                 weights=conf.build_weights(), seed=seed, metric_stride=conf["metric_stride"],
-                config=conf.values,
+                config={**conf.values, **cli._RETIRED_ECHO},
             ), f"run_ab-dscsc_seed{seed}.csv"
         except cli.DivergenceError as err:
             record, name = err.record, f"run_ab-dscsc_seed{seed}_partial.csv"
@@ -359,7 +359,7 @@ def test_arrays_beyond_numpys_size_limit_exit_2(runner, tmp_path, text, limit):
     assert res.exit_code == 2, res.output
     errors = [line for line in res.output.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(f"error: the config's arrays do not fit in memory ({limit}")
-    assert "Traceback" not in res.output
+    assert "Traceback" not in res.output and not (tmp_path / "o").exists()
 
 
 def test_other_value_errors_are_not_relabelled(runner, tmp_path, monkeypatch):
@@ -507,6 +507,26 @@ class TestSeedsShareOneInstance:
         assert counts == {"build_schedule": 1} and graphs == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("alpha_exponent = 1000\n", "a step size overflows a float by round k = 1000"),
+            ("beta_rule = polynomial\nbeta_exponent = 1000\n", "a step size overflows a float by round k = 1000"),
+            ("algorithm = gt-dscgd\nbeta_rule = constant\nbeta = 0.5\n", "gamma*beta_k = 1.5 exceeds 1"),
+            ("algorithm = gp-dscgd\nbeta_rule = constant\nbeta = 0.5\n", "gamma*beta_k = 1.5 exceeds 1"),
+        ],
+        ids=["alpha-overflow", "beta-overflow", "gt-dscgd-gamma-beta", "gp-dscgd-gamma-beta"],
+    )
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"]])
+    def test_step_sizes_the_rounds_cannot_take_exit_at_load(self, runner, tmp_path, counts, command, text, error):
+        # each would fail only in a round: the overflow as a traceback, gamma*beta_1 once all is built
+        cfg = write(tmp_path, f"agents = 3\niterations = 1000\ngamma = 3\n{text}")
+        res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {error}"] and "Traceback" not in res.output
+        assert counts == {"build_schedule": 1} and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text", [BASE, LOGISTIC])
     def test_csvs_equal_a_fresh_build_per_seed(self, runner, tmp_path, text):
         cfg = write(tmp_path, text)
@@ -517,7 +537,7 @@ class TestSeedsShareOneInstance:
             record = cli.run(
                 conf["algorithm"], conf.build_problem(), conf.build_schedule(), conf["iterations"],
                 weights=conf.build_weights(), seed=seed, metric_stride=conf["metric_stride"],
-                eta=conf["eta"], gamma=conf["gamma"], config=conf.values,
+                eta=conf["eta"], gamma=conf["gamma"], config={**conf.values, **cli._RETIRED_ECHO},
             )
             text = (tmp_path / "o" / f"run_ab-dscsc_seed{seed}.csv").read_text()
             fresh = cli.record_to_csv(record)
@@ -640,8 +660,8 @@ alpha_a = 0.5
 alpha_b = 5.0
 alpha_exponent = 0.7
 beta = 1.0
-replications = 60
-normality_k = 1500
+seeds = 0:60
+iterations = 1500
 agent = 1
 threshold = 0.9
 """
@@ -657,39 +677,99 @@ threshold = 0.9
         report = (out / "normality_report.csv").read_text()
         assert "rel_frobenius_error," in report
 
-    @pytest.mark.parametrize("seeds", ["0,5", "0:2"])
-    def test_more_than_one_seed_exit_2(self, runner, tmp_path, seeds):
-        # the study runs base ... base + R - 1, so a second seed has no run to go to
-        cfg = write(tmp_path, self.CFG + f"seeds = {seeds}\n")
+    @pytest.mark.parametrize(
+        "seeds, error",
+        [
+            ("0,5", "normality runs the seeds base ... base + R - 1"),
+            ("0:2", "normality needs >= 50 seeds, got 2"),
+            (",".join(map(str, range(0, 120, 2))), "normality runs the seeds base ... base + R - 1"),
+            (",".join(map(str, range(59, -1, -1))), "normality runs the seeds base ... base + R - 1"),
+        ],
+        ids=["0,5", "0:2", "0,2,...,118", "59,58,...,0"],
+    )
+    def test_more_than_one_seed_exit_2(self, runner, tmp_path, seeds, error):
+        # the study runs base ... base + R - 1 for R >= 50, so no other seed list has a run to go to
+        cfg = write(tmp_path, self.CFG.replace("seeds = 0:60", f"seeds = {seeds}"))
         out = tmp_path / "x"
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 2, res.output
-        assert "one base seed" in res.output
+        assert error in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("seeds,base", [("7", 7), ("3:1", 3)])
+    @pytest.mark.parametrize(
+        "seeds,base", [("7:60", 7), (",".join(map(str, range(3, 63))), 3)], ids=["7:60", "3,4,...,62"]
+    )
     def test_one_base_seed_runs(self, runner, tmp_path, seeds, base):
         # a short study with a loose threshold: only the seeds of its rows are read
-        cfg = self.CFG.replace("normality_k = 1500", "normality_k = 20")
+        cfg = self.CFG.replace("iterations = 1500", "iterations = 20")
         cfg = cfg.replace("threshold = 0.9", "threshold = 1e300")
         out = tmp_path / "norm"
-        res = runner.invoke(
-            main, ["normality", "--config", write(tmp_path, cfg + f"seeds = {seeds}\n"), "--out", str(out)]
-        )
+        cfg = write(tmp_path, cfg.replace("seeds = 0:60", f"seeds = {seeds}"))
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, res.output
         rows = (out / "normality_samples.csv").read_text().strip().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == list(range(base, base + 60))
 
     def test_too_few_replications_exit_2(self, runner, tmp_path):
-        cfg = write(tmp_path, self.CFG.replace("replications = 60", "replications = 10"))
+        cfg = write(tmp_path, self.CFG.replace("seeds = 0:60", "seeds = 0:10"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
 
     def test_last_seed_beyond_uint64_exit_2(self, runner, tmp_path):
-        cfg = write(tmp_path, self.CFG + f"seeds = {2**64 - 1}:1\n")
+        cfg = write(tmp_path, self.CFG.replace("seeds = 0:60", f"seeds = {2**64 - 59}:60"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
         assert res.exit_code == 2, res.output
-        assert "must lie in [0, 2**64)" in res.output
+        assert "in [0, 2**64)" in res.output
+
+    def test_samples_are_collect_deltas(self, runner, tmp_path):
+        # R = 50 seeds from 3 and k = 20: the study is collect_delta on the config's instance
+        text = self.CFG.replace("seeds = 0:60", "seeds = 3:50").replace("iterations = 1500", "iterations = 20")
+        cfg = write(tmp_path, text.replace("threshold = 0.9", "threshold = 1e300"))
+        out = tmp_path / "norm"
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        conf = load_config(cfg)
+        samples = cli.collect_delta(
+            50, conf.build_problem(), conf.build_weights(), conf.schedule, 20, 1, base_seed=3
+        )
+        assert (out / "normality_samples.csv").read_bytes() == cli.samples_to_csv(samples).encode()
+
+    @pytest.mark.parametrize("line", ["replications = 60", "normality_k = 1500"])
+    def test_retired_keys_exit_2(self, runner, tmp_path, line):
+        cfg = write(tmp_path, self.CFG + line + "\n")
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        key = line.split(" = ")[0]
+        assert f"error: unknown config key {key!r}" in res.output and not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("problem = quadratic", "problem = sigmoid", "the quadratic family only"),
+            ("beta = 1.0", "beta = 1.0\nalgorithm = gt-dscgd", "ab-dscsc only"),
+            ("seeds = 0:60", "seeds = 0:49", "normality needs >= 50 seeds, got 49"),
+            ("seeds = 0:60", "seeds = 0,5", "normality runs the seeds base ... base + R - 1"),
+            ("agent = 1", "agent = 3", "agent must be in [1, 2], got 3"),
+            ("alpha_exponent = 0.7", "alpha_exponent = 0.4", "exponent in (1/2, 1)"),
+            ("alpha_b = 5.0", "alpha_schedule = constant-sqrtk", "exponent in (1/2, 1)"),
+            ("beta = 1.0", "beta = 1.0\nbeta_rule = constant", "beta_k proportional to alpha_k"),
+        ],
+        ids=["family", "algorithm", "49-seeds", "non-range-seeds", "agent", "exponent", "constant-sqrtk",
+             "beta-rule"],
+    )
+    def test_refusals_exit_before_the_build(self, runner, tmp_path, monkeypatch, old, new, error):
+        built = []
+        for name in ("build_problem", "build_weights"):
+            monkeypatch.setattr(ExperimentConfig, name, lambda self, name=name: built.append(name))
+        assert old in self.CFG
+        cfg = write(tmp_path, self.CFG.replace(old, new))
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and error in errors[0]
+        assert built == [] and not out.exists()
 
     def test_nan_threshold_exit_2(self, runner, tmp_path):
         # a NaN threshold would compare False and pass every study
@@ -736,7 +816,7 @@ threshold = 0.9
         assert built == [] and not out.exists()
 
     def test_zero_k_exit_2(self, runner, tmp_path):
-        cfg = write(tmp_path, self.CFG.replace("normality_k = 1500", "normality_k = 0"))
+        cfg = write(tmp_path, self.CFG.replace("iterations = 1500", "iterations = 0"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
 
@@ -751,7 +831,7 @@ threshold = 0.9
             "compare_covariance",
             lambda *a: dataclasses.replace(real(*a), rel_frobenius_error=float("nan")),
         )
-        cfg = write(tmp_path, self.CFG.replace("normality_k = 1500", "normality_k = 5"))
+        cfg = write(tmp_path, self.CFG.replace("iterations = 1500", "iterations = 5"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
         assert res.exit_code == 1
 
