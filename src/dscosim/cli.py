@@ -73,12 +73,8 @@ _RETIRED_ECHO = {"normality_k": 20000, "replications": 200}
 def _build_instance(cfg):
     """The problem, weights and schedule that every seed of `cfg` shares, built
     once; the optimum, where the family has one, is solved here and cached."""
-    algorithm, n = cfg["algorithm"], cfg["agents"]
-    single_agent = algorithm in ("scgd", "scsc")
-    if single_agent and n != 1:  # run() refuses it, but only once all is built
-        raise ConfigurationError(f"{algorithm} is single-agent; problem has n={n}")
     problem = cfg.build_problem()
-    weights = None if single_agent else cfg.build_weights()
+    weights = None if cfg["algorithm"] in ("scgd", "scsc") else cfg.build_weights()
     if problem.has_optimum:
         problem.optimum()
     return problem, weights, cfg.schedule
@@ -236,8 +232,6 @@ def cmd_normality(config_path, out_dir):
         )
     if R < 50:
         raise InsufficientDataError(f"normality needs >= 50 seeds, got {R}")
-    if not 1 <= cfg["agent"] <= cfg["agents"]:  # collect_delta's check, before the build
-        raise ConfigurationError(f"agent must be in [1, {cfg['agents']}], got {cfg['agent']}")
     _check_schedule(cfg.schedule)  # collect_delta's check, before the build
     problem, weights, schedule = _build_instance(cfg)
     samples = collect_delta(R, problem, weights, schedule, cfg["iterations"], cfg["agent"], base)

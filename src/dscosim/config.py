@@ -19,58 +19,49 @@ from .problems import (
     make_sigmoid_quadratic,
     make_sinusoid_maml,
 )
-from .schedules import Polynomial, StepSchedule
+from .schedules import BETA_RULES, Polynomial, StepSchedule
 from .topology import build_weight_pair, check_assumption2, generate_ring_plus_random
 
-_DEFAULTS = {
-    "problem": "quadratic",
-    "agents": 2,
-    "dim": 2,
-    "problem_seed": 0,
-    "noise_inner": 0.1,
-    "noise_outer": 0.1,
-    "conditioning": 10.0,
-    "samples_per_agent": 20,
-    "fixed_inner_pool": 0,
-    "feature_scale": 1.0,
-    "label_noise": 0.1,
-    "tasks_per_agent": 200,
-    "hidden_width": 8,
-    "adapt_step": 0.01,
-    "inner_dim": 0,
-    "topology_extra": 0,
-    "topology_seed": 0,
-    "algorithm": "ab-dscsc",
-    "eta": 0.03,
-    "gamma": 3.0,
-    "alpha_schedule": "polynomial",
-    "alpha_a": 0.01,
-    "alpha_b": 0.0,
-    "alpha_exponent": 0.55,
-    "beta": 0.8,
-    "beta_rule": "proportional",
-    "beta_exponent": 0.0,
-    "iterations": 1000,
-    "metric_stride": 1,
-    "seeds": "0:1",
-    "agent": 1,
-    "threshold": 0.3,
-}
-
-# Smallest accepted value of each integer key, checked before anything is built.
-_MINIMUMS = {
-    "agents": 1,
-    "dim": 1,
-    "iterations": 1,
-    "metric_stride": 1,
-    "tasks_per_agent": 1,
-    "inner_dim": 0,
-    "fixed_inner_pool": 0,
-    "problem_seed": 0,
-    "topology_seed": 0,
-}
-
 PROBLEM_FAMILIES = ("quadratic", "logistic", "maml", "sigmoid")
+
+# Each key's default, whose type is the key's type, and its range, checked at load:
+# a tuple of the allowed strings, or a lower bound, inclusive (">= b") or exclusive
+# ("> b").  `seeds` has its own parser, seed_list().  README.md's key table restates
+# this one, and a test holds the two equal.
+_KEYS = {
+    "problem": ("quadratic", PROBLEM_FAMILIES),
+    "agents": (2, ">= 1"),
+    "dim": (2, ">= 1"),
+    "problem_seed": (0, ">= 0"),
+    "noise_inner": (0.1, ">= 0"),
+    "noise_outer": (0.1, ">= 0"),
+    "conditioning": (10.0, ">= 1"),
+    "samples_per_agent": (20, ">= 1"),
+    "fixed_inner_pool": (0, ">= 0"),
+    "feature_scale": (1.0, "> 0"),
+    "label_noise": (0.1, ">= 0"),
+    "tasks_per_agent": (200, ">= 1"),
+    "hidden_width": (8, ">= 1"),
+    "adapt_step": (0.01, ">= 0"),
+    "inner_dim": (0, ">= 0"),
+    "topology_extra": (0, ">= 0"),
+    "topology_seed": (0, ">= 0"),
+    "algorithm": ("ab-dscsc", ALGORITHMS),
+    "eta": (0.03, "> 0"),
+    "gamma": (3.0, "> 0"),
+    "alpha_schedule": ("polynomial", ("polynomial", "constant-sqrtk")),
+    "alpha_a": (0.01, "> 0"),
+    "alpha_b": (0.0, ">= 0"),
+    "alpha_exponent": (0.55, ">= 0"),
+    "beta": (0.8, "> 0"),
+    "beta_rule": ("proportional", BETA_RULES),
+    "beta_exponent": (0.0, ">= 0"),
+    "iterations": (1000, ">= 1"),
+    "metric_stride": (1, ">= 1"),
+    "seeds": ("0:1", None),
+    "agent": (1, ">= 1"),
+    "threshold": (0.3, "> 0"),
+}
 
 
 @dataclass
@@ -78,11 +69,11 @@ class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = dict(_DEFAULTS)
+        merged = {k: default for k, (default, _) in _KEYS.items()}
         for k, v in self.values.items():
-            if k not in _DEFAULTS:
+            if k not in _KEYS:
                 raise ConfigurationError(f"unknown config key {k!r}")
-            kind = type(_DEFAULTS[k])
+            kind = type(_KEYS[k][0])
             try:
                 if kind is int and not isinstance(v, (numbers.Integral, str)):
                     raise TypeError  # int() would truncate a float, which a config file rejects
@@ -99,27 +90,33 @@ class ExperimentConfig:
 
     def _validate(self):
         v = self.values
-        if v["problem"] not in PROBLEM_FAMILIES:
-            raise ConfigurationError(f"unknown problem family {v['problem']!r}")
-        if v["algorithm"] not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {v['algorithm']!r}")
-        for key, low in _MINIMUMS.items():
-            if v[key] < low:
-                raise ConfigurationError(f"{key} must be >= {low}, got {v[key]}")
-        for key in ("eta", "gamma", "threshold"):
-            if v[key] <= 0:
-                raise ConfigurationError(f"{key} must be > 0, got {v[key]}")
+        for key, (_, rule) in _KEYS.items():
+            value = v[key]
+            if isinstance(rule, tuple) and value not in rule:
+                raise ConfigurationError(f"{key} must be one of {', '.join(rule)}, got {value!r}")
+            if isinstance(rule, str):
+                op, bound = rule.split()
+                if not (value >= float(bound) if op == ">=" else value > float(bound)):
+                    raise ConfigurationError(f"{key} must be {rule}, got {value}")
         if v["beta_rule"] == "constant" and v["beta"] > 1:  # the schedule would clamp it
             raise ConfigurationError("constant beta must be <= 1")
         self.seed_list()  # parses and validates
         K = v["iterations"]
         try:  # (k + b)^e and k^e grow with k, so round K overflows first
-            self.schedule = self.build_schedule()  # checks every step-size key
-            self.schedule.alpha(K), self.schedule.beta_of(K)
+            self.schedule = self.build_schedule()
+            self.schedule.alpha(K)
+            beta_K = self.schedule.beta_of(K)  # the smallest beta_k: no rule grows with k
         except OverflowError as exc:
             raise ConfigurationError(f"a step size overflows a float by round k = {K}") from exc
-        beta_1 = self.schedule.beta_of(1)  # the largest beta_k: no rule grows with k
-        if v["algorithm"] in ("gp-dscgd", "gt-dscgd") and v["gamma"] * beta_1 > 1.0:
+        if beta_K == 0.0:
+            raise ConfigurationError(f"beta_k underflows to 0 by round k = {K}")
+        algorithm, n = v["algorithm"], v["agents"]
+        if algorithm in ("scgd", "scsc") and n != 1:
+            raise ConfigurationError(f"{algorithm} is single-agent; problem has n={n}")
+        if v["agent"] > n:  # only normality reads it, but every command refuses it, as threshold
+            raise ConfigurationError(f"agent must be in [1, {n}], got {v['agent']}")
+        beta_1 = self.schedule.beta_of(1)  # the largest beta_k
+        if algorithm in ("gp-dscgd", "gt-dscgd") and v["gamma"] * beta_1 > 1.0:
             raise ConfigurationError(f"gamma*beta_k = {v['gamma'] * beta_1} exceeds 1")
 
     def seed_list(self):
@@ -181,10 +178,8 @@ class ExperimentConfig:
         v = self.values
         if v["alpha_schedule"] == "constant-sqrtk":  # a / sqrt(K): (k + 0.0)**0.0 is exactly 1.0
             rule = Polynomial(v["alpha_a"] / v["iterations"] ** 0.5, 0.0, 0.0)
-        elif v["alpha_schedule"] == "polynomial":
-            rule = Polynomial(v["alpha_a"], v["alpha_b"], v["alpha_exponent"])
         else:
-            raise ConfigurationError(f"unknown alpha schedule {v['alpha_schedule']!r}")
+            rule = Polynomial(v["alpha_a"], v["alpha_b"], v["alpha_exponent"])
         return StepSchedule(
             alpha_rule=rule,
             beta=v["beta"],

@@ -47,10 +47,7 @@ from ..errors import CapabilityError
 try:  # np.einsum(..., optimize=False) calls this routine after its dispatch
     from numpy._core.multiarray import c_einsum as einsum
 except ImportError:
-    try:  # numpy 1.x
-        from numpy.core.multiarray import c_einsum as einsum
-    except ImportError:
-        einsum = np.einsum
+    einsum = np.einsum
 
 
 def per_agent(a, X):

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
+BETA_RULES = ("proportional", "constant", "polynomial")
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -40,7 +42,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.beta <= 0:
             raise ConfigurationError(f"beta must be > 0, got {self.beta}")
-        if self.beta_rule not in ("proportional", "constant", "polynomial"):
+        if self.beta_rule not in BETA_RULES:
             raise ConfigurationError(f"unknown beta rule {self.beta_rule!r}")
         if self.beta_exponent < 0:
             raise ConfigurationError(f"beta_exponent must be >= 0, got {self.beta_exponent}")

@@ -1,4 +1,6 @@
 import concurrent.futures
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -12,11 +14,13 @@ from click.testing import CliRunner
 import dscosim
 import dscosim.cli as cli
 import dscosim.config as config
+import dscosim.problems as problems
 import dscosim.topology as topology
 from dscosim.cli import main
 from dscosim.config import ExperimentConfig, load_config, parse_config_text
 from dscosim.errors import ConfigurationError
 from dscosim.records import rows_from_csv
+from dscosim.schedules import Polynomial, StepSchedule
 
 
 @pytest.fixture
@@ -43,6 +47,33 @@ def write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+COMMANDS = (["run"], ["sweep", "--jobs", "1"], ["validate-topology"], ["normality"])
+
+
+def invoke(runner, command, cfg, out):
+    """`command` on the config file `cfg`, writing to `out` where the command writes files."""
+    out = [] if command == ["validate-topology"] else ["--out", str(out)]
+    return runner.invoke(main, [*command, "--config", cfg, *out])
+
+
+def errors(res):
+    return [line for line in res.output.splitlines() if line.startswith("error:")]
+
+
+def timeless(csv):
+    """A CSV's lines but its `# wall_seconds` header, the one line that a rerun changes."""
+    return [line for line in csv.splitlines() if "wall_seconds" not in line]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the config's builders called; each records its call and builds nothing."""
+    calls = []
+    for name in ("build_problem", "build_weights", "build_graph"):
+        monkeypatch.setattr(ExperimentConfig, name, lambda self, name=name: calls.append(name))
+    return calls
 
 
 class TestConfigParsing:
@@ -79,40 +110,18 @@ class TestConfigParsing:
         assert sched.alpha(1) == pytest.approx(0.05)
 
     def test_invalid_values_rejected(self):
+        # each key's own range is test_each_key_range_checked_at_load's, and a value of the wrong
+        # type test_non_number_names_key_and_value's
         for bad in [
-            {"algorithm": "sgd"},
-            {"problem": "cubic"},
-            {"iterations": 0},
-            {"beta_rule": "weird"},
             {"beta_rule": "constant", "beta": 2.0},
-            {"agents": "2.5"},
-            {"agents": "x"},
-            {"eta": "abc"},
             {"seeds": "-1"},
             {"seeds": "-3:2"},
             {"seeds": str(2**64)},
             {"seeds": ","},
             {"seeds": "4:0"},
-            {"problem_seed": -2},
-            {"topology_seed": -1},
-            {"dim": 0},
-            {"tasks_per_agent": 0},
-            {"inner_dim": -1},
-            {"fixed_inner_pool": -1},
-            {"agents": 2.5},
             {"iterations": 1e3},
             {"dim": 2.0},
             {"agents": np.float64(3)},
-            {"beta": 0.0},
-            {"eta": 0.0},
-            {"eta": -0.5},
-            {"gamma": 0.0},
-            {"gamma": -2.0},
-            {"alpha_a": 0},
-            {"alpha_b": -1},
-            {"alpha_exponent": -1},
-            {"beta_exponent": -1},
-            {"alpha_schedule": "cosine"},
         ]:
             with pytest.raises(ConfigurationError):
                 ExperimentConfig(bad)
@@ -129,6 +138,77 @@ class TestConfigParsing:
                 ExperimentConfig({"noise_outer": value})
         cfg = ExperimentConfig({"agents": np.int64(3), "dim": "4", "eta": 1})
         assert (cfg["agents"], cfg["dim"], cfg["eta"]) == (3, 4, 1.0)
+
+
+# Every edge value below loads on this config: beta_k = beta, so a tiny alpha_a keeps beta_K > 0,
+# and K = 1 makes constant-sqrtk's alpha_1 = alpha_a.  constant-sqrtk reads neither alpha_b nor
+# alpha_exponent, and the constant rule not beta_exponent: the table refuses them all the same.
+EDGE_BASE = {"alpha_schedule": "constant-sqrtk", "beta_rule": "constant", "iterations": 1}
+
+# the library calls that check a family, topology or step-size key, each given the key by name
+quadratic = functools.partial(problems.make_quadratic, 1, 1, 0)
+sigmoid = functools.partial(problems.make_sigmoid_quadratic, 1, 1, 0)
+logistic = functools.partial(problems.make_logistic_cso, n=1, samples_per_agent=1, d=1, seed=0)
+maml = functools.partial(
+    problems.make_sinusoid_maml, n=1, tasks_per_agent=1, hidden_width=1, adapt_step=0.0, seed=0
+)
+schedule = functools.partial(StepSchedule, Polynomial(1.0), beta=1.0)
+LIBRARY = {
+    "agents": [lambda agents: topology.generate_ring_plus_random(agents, 0, 0)],
+    "dim": [lambda dim: logistic(d=dim)],
+    "noise_inner": [quadratic, sigmoid], "noise_outer": [quadratic, sigmoid], "conditioning": [quadratic],
+    "samples_per_agent": [logistic], "feature_scale": [logistic], "label_noise": [logistic],
+    "hidden_width": [maml], "adapt_step": [maml],
+    "topology_extra": [lambda topology_extra: topology.generate_ring_plus_random(3, topology_extra, 0)],
+    "alpha_a": [lambda alpha_a: Polynomial(alpha_a)],
+    "alpha_b": [lambda alpha_b: Polynomial(1.0, alpha_b)],
+    "alpha_exponent": [lambda alpha_exponent: Polynomial(1.0, 0.0, alpha_exponent)],
+    "beta": [schedule], "beta_exponent": [schedule],
+}
+
+
+def edge_values(key):
+    """The last value of `key` outside its range in the key table and the first one inside."""
+    default, rule = config._KEYS[key]
+    if isinstance(rule, tuple):
+        return f"not-{default}", default
+    op, bound = rule.split()
+    bound = type(default)(bound)
+    if isinstance(bound, int):
+        below, above = bound - 1, bound + 1
+    else:
+        below, above = math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)
+    return (below, bound) if op == ">=" else (bound, above)
+
+
+@pytest.mark.parametrize("key", [key for key, (_, rule) in config._KEYS.items() if rule is not None])
+def test_each_key_range_checked_at_load(runner, tmp_path, built, key):
+    """The last value outside a key's range exits 2 at load under every command, with nothing
+    built and no output directory; the first value inside loads; the library agrees on both."""
+    outside, inside = edge_values(key)
+    cfg = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in {**EDGE_BASE, key: outside}.items()))
+    for command in COMMANDS:
+        res = invoke(runner, command, cfg, tmp_path / "o")
+        assert res.exit_code == 2, res.output
+        assert len(errors(res)) == 1 and errors(res)[0].startswith(f"error: {key} must be ")
+    assert built == [] and not (tmp_path / "o").exists()
+    ExperimentConfig({**EDGE_BASE, key: inside})
+    for build in LIBRARY.get(key, []):
+        with pytest.raises(ConfigurationError):
+            build(**{key: outside})
+        build(**{key: inside})
+
+
+def test_readme_key_table_is_the_key_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = readme.index("| key | default | range |") + 2
+    lines = readme[start:readme.index("", start)]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert [key for key, _, _ in rows] == [f"`{key}`" for key in config._KEYS]
+    for (_, default, cell), (value, rule) in zip(rows, config._KEYS.values()):
+        assert default == f"`{value}`"
+        if rule is not None:
+            assert cell == (", ".join(f"`{c}`" for c in rule) if isinstance(rule, tuple) else f"`{rule}`")
 
 
 class TestRunCommand:
@@ -171,15 +251,6 @@ class TestRunCommand:
             "eta = abc",
             "seeds = -1",
             "seeds = ,",
-            "problem_seed = -2",
-            "topology_seed = -1",
-            "dim = 0",
-            "problem = maml\ntasks_per_agent = 0",
-            "problem = sigmoid\ninner_dim = -1",
-            "problem = logistic\nfixed_inner_pool = -1",
-            "algorithm = gt-dscgd\neta = -0.5",
-            "algorithm = gp-dscgd\ngamma = -2",
-            "eta = 0",
             "seeds = 3,3,4",
         ],
     )
@@ -254,7 +325,8 @@ class TestRunCommand:
         cfg = write(tmp_path, BASE + "alpha_schedule = cosine\n")
         res = runner.invoke(main, ["run", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 2
-        assert "unknown alpha schedule 'cosine'" in res.output and not out.exists()
+        assert "alpha_schedule must be one of polynomial, constant-sqrtk, got 'cosine'" in res.output
+        assert not out.exists()
 
     def test_determinism_across_invocations(self, runner, tmp_path):
         cfg = write(tmp_path, BASE)
@@ -262,9 +334,7 @@ class TestRunCommand:
         for name in ("a", "b"):
             out = tmp_path / name
             runner.invoke(main, ["run", "--config", cfg, "--seed", "3", "--out", str(out)])
-            text = (out / "run_ab-dscsc_seed3.csv").read_text()
-            # drop the wall-clock header line before comparing
-            texts.append("\n".join(l for l in text.splitlines() if "wall_seconds" not in l))
+            texts.append(timeless((out / "run_ab-dscsc_seed3.csv").read_text()))
         assert texts[0] == texts[1]
 
 
@@ -279,8 +349,7 @@ def test_some_seeds_diverge_each_writes_its_one_seed_csv(runner, tmp_path, comma
     res = runner.invoke(main, [*command, "--config", cfg, "--out", str(out)])
     assert res.exit_code == 3
     # the first diverged seed in seed order, not the first to diverge (seed 5, at k=13)
-    error = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
-    assert error == ["error: gradient tracker non-finite or beyond 1e+06 at k=15, agent 2, seed 2"]
+    assert errors(res) == ["error: gradient tracker non-finite or beyond 1e+06 at k=15, agent 2, seed 2"]
     conf = load_config(cfg)
     written = set()
     for seed in conf.seed_list():
@@ -292,10 +361,7 @@ def test_some_seeds_diverge_each_writes_its_one_seed_csv(runner, tmp_path, comma
             ), f"run_ab-dscsc_seed{seed}.csv"
         except cli.DivergenceError as err:
             record, name = err.record, f"run_ab-dscsc_seed{seed}_partial.csv"
-        text = (out / name).read_text()
-        assert [l for l in text.splitlines() if "wall_seconds" not in l] == [
-            l for l in cli.record_to_csv(record).splitlines() if "wall_seconds" not in l
-        ]
+        assert timeless((out / name).read_text()) == timeless(cli.record_to_csv(record))
         written.add(name)
     assert {p.name for p in out.iterdir()} == written
 
@@ -308,9 +374,7 @@ class TestSweepCommand:
         r2 = runner.invoke(main, ["sweep", "--config", cfg, "--jobs", "2", "--out", str(out2)])
         assert r1.exit_code == 0 and r2.exit_code == 0
         for name in ("run_ab-dscsc_seed0.csv", "run_ab-dscsc_seed1.csv", "aggregate.csv"):
-            a = [l for l in (out1 / name).read_text().splitlines() if "wall_seconds" not in l]
-            b = [l for l in (out2 / name).read_text().splitlines() if "wall_seconds" not in l]
-            assert a == b
+            assert timeless((out1 / name).read_text()) == timeless((out2 / name).read_text())
 
     def test_divergence_exit_3_with_partial(self, runner, tmp_path):
         cfg = write(tmp_path, BASE.replace("alpha_a = 0.05", "alpha_a = 100.0"))
@@ -357,8 +421,8 @@ def test_arrays_beyond_numpys_size_limit_exit_2(runner, tmp_path, text, limit):
     cfg = write(tmp_path, text)
     res = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
-    errors = [line for line in res.output.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith(f"error: the config's arrays do not fit in memory ({limit}")
+    assert len(errors(res)) == 1
+    assert errors(res)[0].startswith(f"error: the config's arrays do not fit in memory ({limit}")
     assert "Traceback" not in res.output and not (tmp_path / "o").exists()
 
 
@@ -381,28 +445,31 @@ def test_failed_build_leaves_no_output_directory(runner, tmp_path, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["run", "--out", "o"], ["validate-topology"]])
+@pytest.mark.parametrize("command", [["run"], ["validate-topology"]])
 def test_perron_iteration_not_converging_exit_2(runner, tmp_path, monkeypatch, command):
     # a real ring of 500 agents takes the full 100,000 power iterations to fail
     monkeypatch.setattr(topology, "POWER_ITER_MAX", 3)
-    monkeypatch.chdir(tmp_path)
-    cfg = write(tmp_path, BASE.replace("agents = 3", "agents = 10"))
-    res = runner.invoke(main, [command[0], "--config", cfg, *command[1:]])
+    res = invoke(runner, command, write(tmp_path, BASE.replace("agents = 3", "agents = 10")), tmp_path / "o")
     assert res.exit_code == 2, res.output
-    errors = [line for line in res.output.splitlines() if line.startswith("error:")]
-    assert errors == ["error: Perron power iteration did not converge in 3 steps"]
+    assert errors(res) == ["error: Perron power iteration did not converge in 3 steps"]
     assert "Traceback" not in res.output
 
 
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"]])
-def test_topology_without_spanning_tree_exit_1(runner, tmp_path, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (["run"], "generated topology violates the network assumption"),
+        (["sweep", "--jobs", "1"], "generated topology violates the network assumption"),
+        (["validate-topology"], "no spanning tree with a common root"),
+    ],
+    ids=["command0", "command1", "command2"],
+)
+def test_topology_without_spanning_tree_exit_1(runner, tmp_path, monkeypatch, command, error):
     # the CLI's ring + random graphs are strongly connected; three agents with no edge are not
     monkeypatch.setattr(config, "generate_ring_plus_random", lambda *args: topology.DirectedGraph(3))
-    cfg = write(tmp_path, BASE)
-    res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
+    res = invoke(runner, command, write(tmp_path, BASE), tmp_path / "o")
     assert res.exit_code == 1, res.output
-    errors = [line for line in res.output.splitlines() if line.startswith("error:")]
-    assert errors == ["error: generated topology violates the network assumption"]
+    assert errors(res) == [f"error: {error}"]
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
@@ -462,7 +529,7 @@ class TestSeedsShareOneInstance:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("build_problem", "build_weights", "build_schedule"):
+        for name in ("build_problem", "build_weights", "build_graph", "build_schedule"):
             counted(ExperimentConfig, name)
         counted(scipy.optimize, "linprog")
         counted(scipy.optimize, "minimize")
@@ -475,37 +542,31 @@ class TestSeedsShareOneInstance:
         assert res.exit_code == 0, res.output
         assert len(list((tmp_path / "o").glob("run_ab-dscsc_seed*.csv"))) == 3
         assert counts == {
-            "build_problem": 1, "build_weights": 1, "build_schedule": 1, "linprog": 1, "minimize": 1,
+            "build_problem": 1, "build_weights": 1, "build_graph": 1, "build_schedule": 1, "linprog": 1,
+            "minimize": 1,
         }
         assert pool_sizes == ([2] if command[0] == "sweep" else [])
 
     @pytest.mark.parametrize("algorithm", ["scsc", "scgd"])
-    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"]])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"], ["validate-topology"]])
     def test_single_agent_method_on_a_network_exits_before_the_build(
         self, runner, tmp_path, counts, command, algorithm
     ):
         cfg = write(tmp_path, LOGISTIC + f"algorithm = {algorithm}\n")
-        res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
+        res = invoke(runner, command, cfg, tmp_path / "o")
         assert res.exit_code == 2, res.output
-        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
-        assert errors == [f"error: {algorithm} is single-agent; problem has n=5"]
+        assert errors(res) == [f"error: {algorithm} is single-agent; problem has n=5"]
         assert counts == {"build_schedule": 1}  # at load; neither the problem nor its optimum was built
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"], ["validate-topology"]])
-    def test_bad_step_size_exits_at_load(self, runner, tmp_path, monkeypatch, counts, command):
-        # 500 agents: the Perron iteration alone takes seconds, and the rule is refused before it
-        graphs = []
-        monkeypatch.setattr(ExperimentConfig, "build_graph", lambda self: graphs.append(self))
+    def test_bad_step_size_exits_at_load(self, runner, tmp_path, counts, command):
+        # 500 agents: the Perron iteration alone takes seconds, and the key is refused before it
         cfg = write(tmp_path, "agents = 500\ntopology_extra = 1\nalpha_a = 0\n")
-        out = [] if command[0] == "validate-topology" else ["--out", str(tmp_path / "o")]
-        res = runner.invoke(main, [*command, "--config", cfg, *out])
+        res = invoke(runner, command, cfg, tmp_path / "o")
         assert res.exit_code == 2, res.output
-        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
-        assert errors == [
-            "error: need a > 0, b >= 0, exponent >= 0, got Polynomial(a=0.0, b=0.0, exponent=0.55)"
-        ]
-        assert counts == {"build_schedule": 1} and graphs == []
-        assert not (tmp_path / "o").exists()
+        assert errors(res) == ["error: alpha_a must be > 0, got 0.0"]
+        assert counts == {} and not (tmp_path / "o").exists()  # refused by the key table, before the schedule
 
     @pytest.mark.parametrize(
         "text, error",
@@ -514,17 +575,18 @@ class TestSeedsShareOneInstance:
             ("beta_rule = polynomial\nbeta_exponent = 1000\n", "a step size overflows a float by round k = 1000"),
             ("algorithm = gt-dscgd\nbeta_rule = constant\nbeta = 0.5\n", "gamma*beta_k = 1.5 exceeds 1"),
             ("algorithm = gp-dscgd\nbeta_rule = constant\nbeta = 0.5\n", "gamma*beta_k = 1.5 exceeds 1"),
+            ("alpha_a = 5e-324\n", "beta_k underflows to 0 by round k = 1000"),
         ],
-        ids=["alpha-overflow", "beta-overflow", "gt-dscgd-gamma-beta", "gp-dscgd-gamma-beta"],
+        ids=["alpha-overflow", "beta-overflow", "gt-dscgd-gamma-beta", "gp-dscgd-gamma-beta", "beta-underflow"],
     )
-    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"]])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"], ["validate-topology"]])
     def test_step_sizes_the_rounds_cannot_take_exit_at_load(self, runner, tmp_path, counts, command, text, error):
-        # each would fail only in a round: the overflow as a traceback, gamma*beta_1 once all is built
+        # each would fail only in a round: the overflow as a traceback, gamma*beta_1 and beta_K = 0
+        # once all is built
         cfg = write(tmp_path, f"agents = 3\niterations = 1000\ngamma = 3\n{text}")
-        res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
+        res = invoke(runner, command, cfg, tmp_path / "o")
         assert res.exit_code == 2, res.output
-        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
-        assert errors == [f"error: {error}"] and "Traceback" not in res.output
+        assert errors(res) == [f"error: {error}"] and "Traceback" not in res.output
         assert counts == {"build_schedule": 1} and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", [BASE, LOGISTIC])
@@ -540,10 +602,7 @@ class TestSeedsShareOneInstance:
                 eta=conf["eta"], gamma=conf["gamma"], config={**conf.values, **cli._RETIRED_ECHO},
             )
             text = (tmp_path / "o" / f"run_ab-dscsc_seed{seed}.csv").read_text()
-            fresh = cli.record_to_csv(record)
-            assert [l for l in text.splitlines() if "wall_seconds" not in l] == [
-                l for l in fresh.splitlines() if "wall_seconds" not in l
-            ]
+            assert timeless(text) == timeless(cli.record_to_csv(record))
 
 
 class TestSweepWorkers:
@@ -589,8 +648,7 @@ def test_cli_bits_do_not_depend_on_blas_thread_variables(tmp_path):
             [sys.executable, "-m", "dscosim.cli", "run", "--config", cfg, "--out", str(out)],
             capture_output=True, check=True, env=env,
         )
-        text = (out / "run_ab-dscsc_seed3.csv").read_text()
-        texts.append([l for l in text.splitlines() if "wall_seconds" not in l])
+        texts.append(timeless((out / "run_ab-dscsc_seed3.csv").read_text()))
     assert texts[0] == texts[1]
 
 
@@ -758,17 +816,13 @@ threshold = 0.9
         ids=["family", "algorithm", "49-seeds", "non-range-seeds", "agent", "exponent", "constant-sqrtk",
              "beta-rule"],
     )
-    def test_refusals_exit_before_the_build(self, runner, tmp_path, monkeypatch, old, new, error):
-        built = []
-        for name in ("build_problem", "build_weights"):
-            monkeypatch.setattr(ExperimentConfig, name, lambda self, name=name: built.append(name))
+    def test_refusals_exit_before_the_build(self, runner, tmp_path, built, old, new, error):
         assert old in self.CFG
         cfg = write(tmp_path, self.CFG.replace(old, new))
         out = tmp_path / "x"
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 2, res.output
-        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and error in errors[0]
+        assert len(errors(res)) == 1 and error in errors(res)[0]
         assert built == [] and not out.exists()
 
     def test_nan_threshold_exit_2(self, runner, tmp_path):
@@ -778,16 +832,6 @@ threshold = 0.9
         assert res.exit_code == 2, res.output
         assert "threshold must be finite" in res.output
 
-    @pytest.mark.parametrize("threshold", ["0", "-0.5"])
-    def test_threshold_at_or_below_zero_exit_2(self, runner, tmp_path, threshold):
-        # no covariance error is below such a threshold; fail before the study runs
-        cfg = write(tmp_path, self.CFG.replace("threshold = 0.9", f"threshold = {threshold}"))
-        out = tmp_path / "x"
-        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
-        assert res.exit_code == 2, res.output
-        assert "threshold must be > 0" in res.output
-        assert not out.exists()
-
     def test_unsupported_family_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("problem = quadratic", "problem = sigmoid"))
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(tmp_path / "x")])
@@ -795,25 +839,27 @@ threshold = 0.9
 
     @pytest.mark.parametrize("algorithm", ["scsc", "gt-dscgd"])
     def test_other_algorithm_exit_2(self, runner, tmp_path, algorithm):
-        cfg = write(tmp_path, self.CFG + f"algorithm = {algorithm}\n")
+        # one agent, so the load's single-agent rule passes scsc and the study's own refuses it
+        cfg = write(tmp_path, self.CFG.replace("agents = 2", "agents = 1") + f"algorithm = {algorithm}\n")
         out = tmp_path / "x"
         res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 2, res.output
         assert "ab-dscsc only" in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("agent", [0, 3])
-    def test_agent_outside_the_network_exits_before_the_build(self, runner, tmp_path, monkeypatch, agent):
-        built = []
-        for name in ("build_problem", "build_weights"):
-            monkeypatch.setattr(ExperimentConfig, name, lambda self, name=name: built.append(name))
+    @pytest.mark.parametrize(
+        "agent, error",
+        [(0, "agent must be >= 1, got 0"), (3, "agent must be in [1, 2], got 3")],
+        ids=["0", "3"],
+    )
+    def test_agent_outside_the_network_exits_before_the_build(self, runner, tmp_path, built, agent, error):
+        # only normality reads `agent`, but every command refuses it at load, as it does `threshold`
         cfg = write(tmp_path, self.CFG.replace("agent = 1", f"agent = {agent}"))
-        out = tmp_path / "x"
-        res = runner.invoke(main, ["normality", "--config", cfg, "--out", str(out)])
-        assert res.exit_code == 2, res.output
-        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
-        assert errors == [f"error: agent must be in [1, 2], got {agent}"]
-        assert built == [] and not out.exists()
+        for command in COMMANDS:
+            res = invoke(runner, command, cfg, tmp_path / "x")
+            assert res.exit_code == 2, res.output
+            assert errors(res) == [f"error: {error}"]
+        assert built == [] and not (tmp_path / "x").exists()
 
     def test_zero_k_exit_2(self, runner, tmp_path):
         cfg = write(tmp_path, self.CFG.replace("iterations = 1500", "iterations = 0"))
